@@ -201,7 +201,10 @@ class ShardedService:
             from ..durability.recovery import DurableRun
 
             dur = DurableRun(
-                svc.durability, window=svc.window, origin=svc.origin
+                svc.durability,
+                window=svc.window,
+                num_vertices=stream.num_vertices,
+                origin=svc.origin,
             ).start()
         self._dur = dur
         try:

@@ -22,6 +22,7 @@ absence), which deterministic segment naming makes possible.
 
 from __future__ import annotations
 
+import _posixshmem
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -111,12 +112,20 @@ def unlink_segment(name: str) -> bool:
 
     Tolerating absence makes this safe both as the post-consume cleanup
     and as the orphan sweep after a worker crash (where the coordinator
-    cannot know which segments the worker got around to creating).
+    cannot know which segments the worker got around to creating).  A
+    worker killed between ``shm_open`` and ``ftruncate`` leaves a
+    zero-length segment, which cannot be mapped; it is unlinked by name.
     """
     try:
         shm = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
         return False
+    except ValueError:  # "cannot mmap an empty file"
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:
+            return False
+        return True
     shm.close()
     shm.unlink()
     return True

@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 from ..graphs.continuous import EdgeEvent, window_index
 from ..obs import gauge_set as obs_gauge_set
 from ..obs import span as obs_span
+from ..serving.ingest import event_fault
 from ..serving.stats import wall_clock
 from .checkpoint import Checkpoint, CheckpointStore
 from .config import DurabilityConfig
@@ -173,10 +174,13 @@ class DurableRun:
         self,
         config: DurabilityConfig,
         window: float,
+        num_vertices: int,
         origin: Optional[float] = None,
     ):
         self.config = config
         self.window_length = window
+        #: the stream's vertex space, which ingest validates events against
+        self.num_vertices = num_vertices
         self.origin = origin
         self.wal: Optional[WriteAheadLog] = None
         #: replayed ``(position, event)`` records, append order
@@ -271,12 +275,19 @@ class DurableRun:
             )
 
     def _compute_replayed_windows(self) -> int:
-        """Windows past the watermark already covered by the WAL."""
+        """Windows past the watermark already covered by the WAL.
+
+        Chaos poisoning logs events before ingest validates them, so the
+        WAL can hold malformed records; like ingest, skip them before they
+        can anchor the origin or reach ``window_index``.
+        """
         if not self.records:
             return 0
         origin = self.origin
         last = -1
         for _, event in self.records:
+            if event_fault(event, self.num_vertices) is not None:
+                continue
             if origin is None:
                 origin = event.time
             index = window_index(event.time, origin, self.window_length)

@@ -399,7 +399,7 @@ class RunLock:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-        self._info = info  # repro: noqa[THR001] RunLock is owner-exclusive and driven only from the coordinator main thread; `update` merely collides with unrelated thread-root method names
+        self._info = info
 
     @property
     def info(self) -> LockInfo:

@@ -3,11 +3,14 @@
 Events are assigned to fixed-width time windows by the same rule the
 offline reference uses (:func:`~repro.graphs.continuous.window_index`),
 then each closing window's snapshot is produced by *applying the window's
-net edge delta* to the previous snapshot
-(:func:`~repro.graphs.delta.apply_delta`) — a sorted-array merge whose
-cost scales with ``|E| + |delta|`` — rather than rebuilding the CSR from
-the full accumulated edge set (PiPAD's snapshot-preparation overlap only
-pays off if preparation itself is cheap).
+net edge delta* to the previous snapshot rather than rebuilding the CSR
+from the full accumulated edge set (PiPAD's snapshot-preparation overlap
+only pays off if preparation itself is cheap).  The net delta is computed
+from NumPy columns of the window's events, and
+:func:`~repro.graphs.delta.apply_delta` splices it into the previous
+snapshot's sorted edge keys: searches of O(|delta| log |E|), linear
+copies to splice, and no sort or unique over the full edge set.  The
+snapshot's CSR is the only copy of the edge set ingest keeps.
 
 Streaming realities handled here:
 
@@ -20,7 +23,7 @@ Streaming realities handled here:
   their predecessor, keeping the window clock aligned with the offline
   discretization.
 * **Add/remove churn** within one window nets out: only an edge's final
-  state relative to the live edge set enters the delta.
+  state relative to the current snapshot enters the delta.
 * **Malformed events** — non-finite or negative timestamps, vertex ids
   outside the declared space — are rejected with a precise error, or
   (``quarantine=True``) diverted into a dead-letter queue of
@@ -37,7 +40,12 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..graphs.continuous import ContinuousDynamicGraph, EdgeEvent, window_index
-from ..graphs.delta import SnapshotDelta, apply_delta
+from ..graphs.delta import (
+    SnapshotDelta,
+    apply_delta,
+    snapshot_edge_keys,
+    sorted_isin,
+)
 from ..graphs.snapshot import GraphSnapshot
 from .stats import wall_clock
 
@@ -94,7 +102,7 @@ class Window:
 
 
 class IncrementalWindowBuilder:
-    """Maintains the live edge set and materializes successive snapshots.
+    """Holds the current snapshot and materializes successive snapshots.
 
     The vertex id space is fixed up front (as the offline discretization
     fixes it from the whole stream); events referencing vertices outside
@@ -123,7 +131,6 @@ class IncrementalWindowBuilder:
         self.current = GraphSnapshot.from_edge_arrays(
             num_vertices, src, dst, feature_dim=feature_dim
         )
-        self._live = set(zip(src.tolist(), dst.tolist()))
 
     def close_window(
         self, events: List[EdgeEvent], timestamp: int = 0
@@ -135,33 +142,47 @@ class IncrementalWindowBuilder:
         of absent edges) cancels out, mirroring the edge-*set* semantics
         of :meth:`ContinuousDynamicGraph.edges_at`.
         """
-        final: dict = {}
-        for event in sorted(events):
-            if event.src >= self.num_vertices or event.dst >= self.num_vertices:
-                raise ValueError(
-                    f"event {event} outside the fixed vertex space "
-                    f"[0, {self.num_vertices})"
-                )
-            final[(event.src, event.dst)] = event.kind
-        added = [
-            pair for pair, kind in final.items()
-            if kind == _ADD and pair not in self._live
-        ]
-        removed = [
-            pair for pair, kind in final.items()
-            if kind != _ADD and pair in self._live
-        ]
-        delta = SnapshotDelta(
-            added_src=np.array([s for s, _ in added], dtype=np.int64),
-            added_dst=np.array([d for _, d in added], dtype=np.int64),
-            removed_src=np.array([s for s, _ in removed], dtype=np.int64),
-            removed_dst=np.array([d for _, d in removed], dtype=np.int64),
-        )
+        delta = self._net_delta(events)
         if delta.num_changes:
             self.current = apply_delta(self.current, delta, timestamp=timestamp)
-            self._live.difference_update(removed)
-            self._live.update(added)
         return self.current, delta
+
+    def _net_delta(self, events: List[EdgeEvent]) -> SnapshotDelta:
+        """Each edge's last event, against the current snapshot's edges.
+
+        Events are ordered as ``sorted(events)`` orders them, by
+        ``(time, src, dst, kind)``; within one edge that is ``(time,
+        kind)``, so one lexsort by (edge key, time, kind) puts every
+        edge's final event last in its group.
+        """
+        count = len(events)
+        times = np.fromiter((e.time for e in events), dtype=np.float64, count=count)
+        src = np.fromiter((e.src for e in events), dtype=np.int64, count=count)
+        dst = np.fromiter((e.dst for e in events), dtype=np.int64, count=count)
+        remove = np.fromiter((e.kind != _ADD for e in events), dtype=bool, count=count)
+        space = self.num_vertices
+        outside = np.flatnonzero((src >= space) | (dst >= space))
+        if len(outside):
+            raise ValueError(
+                f"event {events[outside[0]]} outside the fixed vertex space "
+                f"[0, {space})"
+            )
+        id_space = max(space, 1)
+        keys = dst * id_space + src
+        order = np.lexsort((remove, times, keys))
+        keys, remove = keys[order], remove[order]
+        last = np.ones(count, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        keys, remove = keys[last], remove[last]
+        live = sorted_isin(keys, snapshot_edge_keys(self.current, id_space))
+        added = keys[~remove & ~live]
+        removed = keys[remove & live]
+        return SnapshotDelta(
+            added_src=added % id_space,
+            added_dst=added // id_space,
+            removed_src=removed % id_space,
+            removed_dst=removed // id_space,
+        )
 
 
 class ShardedWindowBuilder:
@@ -171,7 +192,7 @@ class ShardedWindowBuilder:
     the router (coordinator side) validates events and assigns window
     indices exactly as :class:`WindowedIngestor` does, then each shard
     worker turns its slice of ``(window_index, event)`` pairs into
-    :class:`Window`\\ s over the shard's *own* live edge set.  Because
+    :class:`Window`\\ s over the shard's *own* subgraph.  Because
     every event for an edge routes to the shard owning its destination
     vertex, the per-shard net deltas are disjoint and concatenate to the
     exact global delta — the coordinator's merge invariant.

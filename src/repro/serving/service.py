@@ -201,7 +201,10 @@ class StreamingService:
             from ..durability.recovery import DurableRun
 
             dur = DurableRun(
-                cfg.durability, window=cfg.window, origin=cfg.origin
+                cfg.durability,
+                window=cfg.window,
+                num_vertices=stream.num_vertices,
+                origin=cfg.origin,
             ).start()
         try:
             return self._serve_run(stream, spec, dur)

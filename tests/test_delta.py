@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.graphs.delta import (
+    SnapshotDelta,
     addition_only_schedule,
     apply_delta,
     common_core,
@@ -17,6 +18,14 @@ from repro.graphs.snapshot import GraphSnapshot
 
 def _snap(edges, n=5):
     return GraphSnapshot.from_edges(n, edges)
+
+
+def _delta(added=(), removed=()):
+    def columns(pairs):
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    return SnapshotDelta(*columns(added), *columns(removed))
 
 
 class TestSnapshotDelta:
@@ -66,6 +75,34 @@ class TestApplyDelta:
         twice = apply_delta(apply_delta(prev, delta), delta)
         assert twice.edge_set() == {(0, 1), (1, 2)}
 
+    def test_duplicate_keys_inside_delta(self):
+        prev = _snap([(0, 1), (1, 2)])
+        delta = _delta(
+            added=[(3, 4), (3, 4), (0, 1)], removed=[(1, 2), (1, 2), (2, 2)]
+        )
+        assert apply_delta(prev, delta) == _snap([(0, 1), (3, 4)])
+
+    def test_edge_both_added_and_removed_ends_present(self):
+        prev = _snap([(0, 1)])
+        delta = _delta(added=[(2, 3), (0, 1)], removed=[(0, 1), (2, 3)])
+        assert apply_delta(prev, delta).edge_set() == {(0, 1), (2, 3)}
+
+    def test_zero_vertex_prev(self):
+        prev = GraphSnapshot.empty(0)
+        assert apply_delta(prev, _delta()) == prev
+        grown = apply_delta(prev, _delta(added=[(2, 0)], removed=[(1, 1)]))
+        assert grown == GraphSnapshot.from_edges(3, [(2, 0)])
+
+    def test_delta_grows_vertex_space(self):
+        prev = _snap([(0, 1), (4, 2)])
+        delta = _delta(added=[(7, 3), (1, 6), (0, 1)], removed=[(9, 9)])
+        grown = apply_delta(prev, delta, timestamp=4)
+        assert grown == GraphSnapshot.from_edges(
+            10, [(0, 1), (4, 2), (7, 3), (1, 6)]
+        )
+        assert grown.timestamp == 4
+        assert grown.indptr.dtype == grown.indices.dtype == np.int64
+
 
 class TestSplitMergeRoundtrip:
     def _random_transition(self, rng, n=40, edges=150):
@@ -99,6 +136,21 @@ class TestSplitMergeRoundtrip:
             np.testing.assert_array_equal(
                 rebuilt.edge_arrays(), apply_delta(prev, delta).edge_arrays()
             )
+
+    def test_merge_in_unsorted_order_with_repeats(self, rng):
+        prev, cur = self._random_transition(rng)
+        assignment = rng.integers(0, 3, prev.num_vertices)
+        parts = split_delta(snapshot_delta(prev, cur), assignment)
+        merged = merge_deltas(parts[::-1] + parts)  # every change twice
+        add = rng.permutation(merged.num_added)
+        rem = rng.permutation(merged.num_removed)
+        shuffled = SnapshotDelta(
+            merged.added_src[add],
+            merged.added_dst[add],
+            merged.removed_src[rem],
+            merged.removed_dst[rem],
+        )
+        assert apply_delta(prev, shuffled) == cur
 
     def test_merge_of_nothing_is_the_empty_delta(self):
         merged = merge_deltas([])

@@ -8,8 +8,10 @@ totals on every dataset fixture, router/ingestor decision parity, the
 shared-memory segment protocol, and restart/teardown hygiene.
 """
 
+import _posixshmem
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +30,8 @@ from repro.dist import (
     unlink_segment,
     write_segment,
 )
+from repro.durability.recovery import reclaim_stale_run
+from repro.durability.wal import LockInfo
 from repro.graphs.continuous import ContinuousDynamicGraph, EdgeEvent
 from repro.graphs.datasets import TABLE1_DATASETS, load_dataset
 from repro.graphs.partition import hash_vertex_partition
@@ -424,6 +428,25 @@ class TestSharedMemory:
         with attach_segment(spec) as views:
             assert views["x"].size == 0
         assert unlink_segment(name) is True
+
+    @pytest.mark.skipif(
+        not Path("/dev/shm").is_dir(), reason="needs POSIX shared memory"
+    )
+    def test_sweep_unlinks_zero_length_orphan(self):
+        # A worker SIGKILLed between shm_open and ftruncate leaves a
+        # zero-length segment, which cannot be mapped.
+        empty = segment_name("rdtest1", 0, 0, 0)
+        fd = _posixshmem.shm_open(
+            "/" + empty, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+        )
+        os.close(fd)
+        write_segment(segment_name("rdtest1", 0, 0, 1), [("x", np.arange(3))])
+        killed, swept = reclaim_stale_run(
+            LockInfo(pid=0, session="rdtest1", shards=1, num_windows=3)
+        )
+        assert (killed, swept) == (0, 2)
+        assert list(Path("/dev/shm").glob("rdtest1*")) == []
+        assert unlink_segment(empty) is False
 
     def test_segment_names_are_unique_per_coordinate(self):
         names = {

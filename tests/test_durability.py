@@ -27,6 +27,7 @@ from repro.durability import (
     CheckpointError,
     CheckpointStore,
     DurabilityConfig,
+    DurableRun,
     RunLock,
     SimulatedCrash,
     WalCorruptionError,
@@ -409,6 +410,63 @@ class TestDurableServing:
         )
         with pytest.raises(ValueError, match="refusing to mix"):
             _serve(stream, other)
+
+    def test_resume_with_quarantined_poison(self, stream, config, tmp_path):
+        # Chaos poison is logged before ingest validates it, so the WAL
+        # holds NaN-time and out-of-range records that resume must skip.
+        poisoned = replace(
+            config,
+            chaos=ChaosSchedule(seed=5, poison_rate=0.05),
+            quarantine=True,
+        )
+        reference = _serve(stream, poisoned)
+        assert reference.stats.quarantined_events > 0
+        crash = replace(
+            poisoned,
+            durability=DurabilityConfig(
+                directory=tmp_path, fsync=False, abort_after_commit=7
+            ),
+        )
+        with pytest.raises(SimulatedCrash):
+            _serve(stream, crash)
+        resumed = _serve(
+            stream,
+            replace(
+                poisoned,
+                durability=DurabilityConfig(
+                    directory=tmp_path, fsync=False, resume=True
+                ),
+            ),
+        )
+        assert _window_results_json(resumed) == _window_results_json(reference)
+        assert (
+            resumed.stats.quarantined_events
+            == reference.stats.quarantined_events
+        )
+        assert resumed.stats.resumes == 1
+
+    def test_replayed_windows_skip_malformed_records(self, tmp_path):
+        wal, _ = WriteAheadLog.open(tmp_path / "wal", fsync=False)
+        records = [
+            EdgeEvent(-3.0, 0, 1),  # negative time: must not anchor the origin
+            EdgeEvent(0.5, 0, 1),
+            EdgeEvent(float("nan"), 0, 0),  # would break window_index
+            EdgeEvent(5.0, 9, 0),  # outside the 4-vertex space
+            EdgeEvent(2.5, 1, 2),
+        ]
+        for position, event in enumerate(records):
+            wal.append(position, event)
+        wal.close()
+        run = DurableRun(
+            DurabilityConfig(directory=tmp_path, fsync=False, resume=True),
+            window=1.0,
+            num_vertices=4,
+        ).start()
+        try:
+            # Origin 0.5: the valid events fall in windows 0 and 1.
+            assert run.replayed_windows == 2
+        finally:
+            run.close()
 
 
 class TestShardedDurability:

@@ -17,10 +17,12 @@ from repro.core.comm_model import (
     WorkloadProfile,
 )
 from repro.core.tiling import dram_access
+from repro.graphs.continuous import ContinuousDynamicGraph, EdgeEvent, window_index
 from repro.graphs.delta import common_core, snapshot_delta
 from repro.graphs.generators import evolve_snapshot, powerlaw_snapshot
 from repro.graphs.partition import round_robin_partition
 from repro.graphs.snapshot import GraphSnapshot
+from repro.serving.ingest import WindowedIngestor
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,81 @@ class TestPartitionProperties:
         sizes = partition.sizes()
         assert sizes.sum() == n
         assert sizes.max() - sizes.min() <= 1  # near-equal cardinality
+
+
+# ---------------------------------------------------------------------------
+# Streaming ingest against a from-scratch oracle
+# ---------------------------------------------------------------------------
+_EDGE_EVENT = st.tuples(
+    st.integers(0, 24),  # time, in half-windows: every other one is a boundary
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from(["add", "remove"]),
+)
+
+
+@st.composite
+def event_streams(draw):
+    """Adversarial streams over a tiny vertex space, with window width.
+
+    A six-vertex space makes duplicate adds and removes of absent edges
+    common; the explicit lists add same-timestamp add/remove pairs and
+    repeated adds, the half-window time grid puts events exactly on
+    window boundaries, and its sparse draws leave empty windows.
+    """
+    n = 6
+    window = draw(st.sampled_from([1.0, 2.0, 2.5]))
+    events = [
+        EdgeEvent(t * window / 2, s, d, kind)
+        for t, s, d, kind in draw(st.lists(_EDGE_EVENT, max_size=40))
+    ]
+    for t, s, d, _ in draw(st.lists(_EDGE_EVENT, max_size=4)):
+        events += [
+            EdgeEvent(t * window / 2, s, d, "add"),
+            EdgeEvent(t * window / 2, s, d, "remove"),
+        ]
+    for t, s, d, _ in draw(st.lists(_EDGE_EVENT, max_size=4)):
+        events += [EdgeEvent(t * window / 2, s, d, "add")] * 2
+    vertex = st.integers(0, n - 1)
+    initial = draw(st.sets(st.tuples(vertex, vertex), max_size=12))
+    stream = ContinuousDynamicGraph(GraphSnapshot.from_edges(n, initial), events)
+    return stream, window
+
+
+def _edge_pairs(src, dst):
+    return set(zip(src.tolist(), dst.tolist()))
+
+
+class TestIngestOracleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(event_streams(), st.randoms(use_true_random=False))
+    def test_windows_match_from_scratch_snapshots(self, case, rnd):
+        stream, window = case
+        origin = 0.0
+        # Arrival order is shuffled inside each window; ingest must not care.
+        arrival = sorted(
+            stream.events,
+            key=lambda e: (window_index(e.time, origin, window), rnd.random()),
+        )
+        ingestor = WindowedIngestor.for_stream(stream, window, origin=origin)
+        windows = list(ingestor.windows(arrival))
+        assert len(windows) == stream.num_windows(window, origin=origin)
+        previous = stream.initial.edge_set()
+        for k, served in enumerate(windows):
+            edges = stream.edges_at(origin + (k + 1) * window)
+            expected = GraphSnapshot.from_edges(stream.num_vertices, edges)
+            snapshot = served.snapshot
+            assert snapshot.indptr.dtype == np.int64
+            assert snapshot.indices.dtype == np.int64
+            np.testing.assert_array_equal(snapshot.indptr, expected.indptr)
+            np.testing.assert_array_equal(snapshot.indices, expected.indices)
+            delta = served.delta
+            assert _edge_pairs(delta.added_src, delta.added_dst) == edges - previous
+            assert _edge_pairs(delta.removed_src, delta.removed_dst) == previous - edges
+            assert delta.num_added == len(edges - previous)
+            assert delta.num_removed == len(previous - edges)
+            previous = edges
+        assert ingestor.late_events == 0
 
 
 # ---------------------------------------------------------------------------
