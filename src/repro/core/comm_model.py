@@ -165,8 +165,14 @@ class CommunicationModel:
         return self.total_spatial_comm() * same_tile_pairs / (avg_sv * avg_sv)
 
     def spatial_comm(self, factors: ParallelFactors) -> float:
-        """Eq. 10: ``Scomm = TotalScomm - IntraTileScomm``."""
-        return self.total_spatial_comm() - self.intra_tile_spatial_comm(factors)
+        """Eq. 10: ``Scomm = TotalScomm - IntraTileScomm``.
+
+        Clamped at zero: with one vertex group the two terms are equal and
+        rounding can leave their difference slightly negative.
+        """
+        return max(
+            self.total_spatial_comm() - self.intra_tile_spatial_comm(factors), 0.0
+        )
 
     # -- redundancy (Eqs. 13-15) -----------------------------------------
     def vertex_spatial_comm(self) -> float:
@@ -213,8 +219,14 @@ class CommunicationModel:
         )
 
     def rf_spatial_comm(self, factors: ParallelFactors) -> float:
-        """Eq. 9: ``RFScomm = Scomm - RScomm``."""
-        return self.spatial_comm(factors) - self.redundant_spatial_comm(factors)
+        """Eq. 9: ``RFScomm = Scomm - RScomm``.
+
+        Clamped at zero: with ``Dis = 0`` the share ``RScomm`` equals
+        ``Scomm`` up to rounding, which can land above it.
+        """
+        return max(
+            self.spatial_comm(factors) - self.redundant_spatial_comm(factors), 0.0
+        )
 
     # -- reuse (Eq. 16) ----------------------------------------------------
     def reuse_comm(self, factors: ParallelFactors) -> float:

@@ -8,7 +8,10 @@ byte-identical to the uninterrupted one from the *watermark* onwards:
   from it with the same seeded partition, so they are not stored twice);
 * the plan-manager state (cache entries in LRU order, hit/miss/replan
   counters, circuit-breaker scalars) so post-resume plan decisions
-  match the uninterrupted run exactly;
+  match the uninterrupted run exactly.  Each cached plan is a
+  :class:`~repro.serving.plan_manager.WindowPlan` — a placement and a
+  tiling factor, a few hundred bytes — so the snapshot above is the
+  only graph a checkpoint holds;
 * the per-window results and latency records already produced, so the
   final report contains every window, not just the replayed suffix;
 * the stats counters that summarize the committed prefix.
@@ -19,7 +22,10 @@ written to ``ckpt-{watermark:08d}.bin`` via write-to-temp, fsync,
 or not at all.  ``load_latest`` walks newest-first and skips files that
 fail the magic/length/checksum/unpickle gauntlet, so a crash *during*
 a checkpoint write (or bit rot in the newest file) falls back to the
-previous retained checkpoint instead of failing the resume.
+previous retained checkpoint instead of failing the resume.  ``MAGIC``
+names the payload layout (``RDCKPT2``: plan state of window plans), so
+checkpoints an older layout wrote fail the same gauntlet and a resume
+replays the WAL instead of unpickling them.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Checkpoint", "CheckpointError", "CheckpointStore"]
 
-_MAGIC = b"RDCKPT1\n"
+#: bumped whenever the pickled payload changes shape
+_MAGIC = b"RDCKPT2\n"
 _HEADER = struct.Struct("<II")  # payload length, payload crc32
 
 

@@ -196,7 +196,6 @@ class DurableRun:
         self._lock = RunLock(config.lock_path)
         self._store: Optional[CheckpointStore] = None
         self._started_at = 0.0
-        self._live = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -265,14 +264,24 @@ class DurableRun:
         )
 
     def _check_meta(self) -> None:
+        """Refuse a checkpoint cut with a different window grid.
+
+        ``window`` and ``origin`` together fix which window every event
+        lands in, so resuming under either changed would splice two
+        different window sequences into one run.
+        """
         if self.checkpoint is None:
             return
-        recorded = self.checkpoint.meta.get("window")
-        if recorded is not None and recorded != self.window_length:
-            raise ValueError(
-                f"checkpoint was cut with window={recorded}, resume "
-                f"requested window={self.window_length}; refusing to mix"
-            )
+        meta = self.checkpoint.meta
+        for key, requested in (
+            ("window", self.window_length),
+            ("origin", self.origin),
+        ):
+            if key in meta and meta[key] != requested:
+                raise ValueError(
+                    f"checkpoint was cut with {key}={meta[key]}, resume "
+                    f"requested {key}={requested}; refusing to mix"
+                )
 
     def _compute_replayed_windows(self) -> int:
         """Windows past the watermark already covered by the WAL.
@@ -320,7 +329,6 @@ class DurableRun:
         tail = self.start_position
         for _, event in self.records:
             yield event
-        self._mark_live()
         position = 0
         for event in events:
             if position < tail:
@@ -329,10 +337,6 @@ class DurableRun:
             self.wal.append(position, event)
             position += 1
             yield event
-
-    def _mark_live(self) -> None:
-        if not self._live:
-            self._live = True
 
     def note_commit(self, index: int) -> None:
         """Commit-progress hook: stamps the end of the recovery phase."""

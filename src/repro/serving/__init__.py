@@ -9,10 +9,11 @@ simulate) into a three-stage online service:
    *incrementally* from the previous one via
    :func:`~repro.graphs.delta.apply_delta` instead of rebuilding from
    scratch.
-2. **Plan management** (:mod:`repro.serving.plan_manager`) — caches
-   :class:`~repro.core.plan.ExecutionPlan`\\ s in an LRU keyed by a
-   quantized workload signature, re-invoking the scheduler only when a
-   drift detector observes the workload has moved beyond a threshold.
+2. **Plan management** (:mod:`repro.serving.plan_manager`) — caches the
+   scheduler's decision (a :class:`~repro.serving.plan_manager.WindowPlan`:
+   placement and tiling ``alpha``) in an LRU keyed by a quantized
+   workload signature, re-invoking the scheduler only when a drift
+   detector observes the workload has moved beyond a threshold.
 3. **Execution** (:mod:`repro.serving.executor` /
    :mod:`repro.serving.pipeline` / :mod:`repro.serving.service`) —
    batches pending windows, keeps up to ``pipeline_depth`` batches in
@@ -43,7 +44,7 @@ from .ingest import (
     event_fault,
 )
 from .pipeline import BatchSource, QueueBatchSource, WindowPipeline
-from .plan_manager import PlanDecision, PlanManager
+from .plan_manager import PlanDecision, PlanManager, WindowPlan
 from .service import ServiceConfig, ServingReport, StreamingService, serve_offline
 from .signature import DriftDetector, WindowProfile, WorkloadSignature
 from .stats import ServiceStats, WindowFailure, WindowRecord
@@ -60,6 +61,7 @@ __all__ = [
     "WindowPipeline",
     "PlanDecision",
     "PlanManager",
+    "WindowPlan",
     "ServiceConfig",
     "ServingReport",
     "StreamingService",

@@ -22,11 +22,12 @@ from typing import Callable, Optional, Tuple, TYPE_CHECKING, TypeVar
 from ..accel.metrics import CostSummary, SimulationResult
 from ..accel.simulator import AcceleratorSimulator
 from ..baselines.algorithms import build_costs
-from ..core.plan import DGNNSpec, ExecutionPlan
+from ..core.plan import DGNNSpec
 from ..ditile import DiTileAccelerator
 from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import GraphSnapshot
 from ..obs import span as obs_span
+from .plan_manager import WindowPlan
 from .stats import timed_call, wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
@@ -61,7 +62,7 @@ def simulate_window(
     model: DiTileAccelerator,
     spec: DGNNSpec,
     transition: DynamicGraph,
-    plan: ExecutionPlan,
+    plan: WindowPlan,
     faults: Optional["FaultModel"] = None,
 ) -> SimulationResult:
     """Simulate the last snapshot of ``transition`` under ``plan``.
@@ -78,9 +79,9 @@ def simulate_window(
         transition,
         spec,
         algorithm,
-        model.placement_from_plan(plan),
+        plan.placement,
         model.params,
-        tiling_alpha=plan.tiling.alpha,
+        tiling_alpha=plan.alpha,
     )
     window_costs = CostSummary(
         algorithm="ditile",
@@ -123,7 +124,7 @@ class WindowRunner:
     def execute(
         self,
         transition: DynamicGraph,
-        plan: ExecutionPlan,
+        plan: WindowPlan,
         index: int,
         attempt: int = 1,
     ) -> Tuple[SimulationResult, float]:
@@ -156,7 +157,7 @@ class WindowRunner:
             return result, seconds
 
     def execute_resilient(
-        self, transition: DynamicGraph, plan: ExecutionPlan, index: int
+        self, transition: DynamicGraph, plan: WindowPlan, index: int
     ) -> Tuple[Optional[SimulationResult], float, int, Optional[Tuple[int, str]]]:
         """Run :meth:`execute` under the configured retry policy.
 

@@ -3,13 +3,22 @@
 Planning a window runs the full scheduler front-end (tiling search,
 ``Ps``/``Pv`` optimization, Algorithm 2 balance) — far more work than
 simulating the window's incremental costs.  The serving layer therefore
-caches plans in an LRU keyed by :class:`~repro.serving.signature.WorkloadSignature`
-and re-invokes :class:`~repro.core.scheduler.DiTileScheduler` only when
+caches the scheduler's decision in an LRU keyed by
+:class:`~repro.serving.signature.WorkloadSignature` and re-invokes
+:class:`~repro.core.scheduler.DiTileScheduler` only when
 
 * a window's signature misses the cache, or
 * the :class:`~repro.serving.signature.DriftDetector` observes that the
   workload has drifted beyond threshold from the profile the cached plan
   was computed for.
+
+A cached decision is a :class:`WindowPlan`: the tile-array placement
+(the ``Ps``/``Pv`` grid and Algorithm 2's balance) and the tiling
+``alpha`` — the only parts of an
+:class:`~repro.core.plan.ExecutionPlan` a later window executes.  The
+scheduler's plan, which holds the transition graph it was computed on,
+is dropped as soon as the record is built, so the cache pins no
+snapshots and a checkpoint of it costs a few hundred bytes per entry.
 
 Resolution is sequential in window order (the service resolves plans in
 its single-threaded dispatch stage), so cache behaviour — and therefore
@@ -22,6 +31,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from ..baselines.algorithms import Placement
 from ..caching import LRUCache
 from ..core.plan import DGNNSpec, ExecutionPlan
 from ..ditile import DiTileAccelerator
@@ -31,7 +41,7 @@ from ..obs import span as obs_span
 from ..resilience.policies import BreakerConfig, CircuitBreaker
 from .signature import DriftDetector, WindowProfile, WorkloadSignature
 
-__all__ = ["PlanDecision", "PlanEntry", "PlanManager"]
+__all__ = ["PlanDecision", "PlanEntry", "PlanManager", "WindowPlan"]
 
 
 class PlanDecision(enum.Enum):
@@ -43,11 +53,28 @@ class PlanDecision(enum.Enum):
     BREAKER = "breaker"  # breaker open: last-good plan served, scheduler skipped
 
 
+@dataclass(frozen=True)
+class WindowPlan:
+    """What executing a window reads of a scheduler plan."""
+
+    #: the ``Ps x Pv`` grid and balanced utilization on the tile array
+    placement: Placement
+    #: Algorithm 1's tiling factor
+    alpha: int
+
+    @classmethod
+    def from_plan(
+        cls, model: DiTileAccelerator, plan: ExecutionPlan
+    ) -> "WindowPlan":
+        """The decision ``model`` executes under ``plan``."""
+        return cls(model.placement_from_plan(plan), plan.tiling.alpha)
+
+
 @dataclass
 class PlanEntry:
     """One cached plan plus the workload profile it was computed for."""
 
-    plan: ExecutionPlan
+    plan: WindowPlan
     reference: WindowProfile
 
 
@@ -75,7 +102,7 @@ class PlanManager:
         # invocations — a replan storm — trip it open, and while open the
         # last-good plan is served without touching the scheduler.
         self._breaker = CircuitBreaker(breaker) if breaker is not None else None
-        self._last_good: Optional[ExecutionPlan] = None
+        self._last_good: Optional[WindowPlan] = None
         self.breaker_hits = 0
 
     # ------------------------------------------------------------------
@@ -86,7 +113,7 @@ class PlanManager:
         transition: DynamicGraph,
         spec: DGNNSpec,
         profile: Optional[WindowProfile] = None,
-    ) -> Tuple[ExecutionPlan, PlanDecision]:
+    ) -> Tuple[WindowPlan, PlanDecision]:
         """The plan to execute ``transition`` (its last snapshot's window)
         under, plus how it was obtained.
 
@@ -109,7 +136,7 @@ class PlanManager:
         transition: DynamicGraph,
         spec: DGNNSpec,
         profile: Optional[WindowProfile],
-    ) -> Tuple[ExecutionPlan, PlanDecision]:
+    ) -> Tuple[WindowPlan, PlanDecision]:
         current = profile or WindowProfile.from_snapshot(transition[-1])
         signature = WorkloadSignature.from_profile(current, spec)
         entry = self._cache.get(signature)
@@ -145,9 +172,11 @@ class PlanManager:
 
     def _invoke_scheduler(
         self, transition: DynamicGraph, spec: DGNNSpec
-    ) -> ExecutionPlan:
+    ) -> WindowPlan:
         """Run the full scheduler front-end, feeding the breaker."""
-        plan = self.model.scheduler.plan(transition, spec)
+        plan = WindowPlan.from_plan(
+            self.model, self.model.scheduler.plan(transition, spec)
+        )
         self._last_good = plan
         if self._breaker is not None:
             self._breaker.record_invocation()
@@ -161,7 +190,10 @@ class PlanManager:
 
         Captures the LRU entries (stalest first — re-``put`` in that
         order reproduces the recency order exactly), the decision
-        counters, the last-good plan, and the breaker scalars.  Entries
+        counters, the last-good plan, and the breaker scalars.  Every
+        plan is a :class:`WindowPlan` — a placement and a tiling factor,
+        with no graph or array — so the snapshot stays a few hundred
+        bytes per cached entry.  Entries
         are immutable once cached (:meth:`_resolve` always ``put``\\ s a
         fresh :class:`PlanEntry`), so the shallow copy is stable no
         matter how far resolution runs ahead of the checkpoint.  A

@@ -3,8 +3,8 @@
 The scheduler's decisions (tiling ``alpha``, the ``Ps x Pv`` grid, the
 balance mapping) depend on coarse workload shape — vertex/edge counts and
 the degree profile — not on the exact edge list.  Two windows whose shapes
-agree to within a quantization bucket can therefore share one
-:class:`~repro.core.plan.ExecutionPlan`.  This module defines
+agree to within a quantization bucket can therefore share one cached
+:class:`~repro.serving.plan_manager.WindowPlan`.  This module defines
 
 * :class:`WindowProfile` — the measured shape of one window's snapshot;
 * :class:`WorkloadSignature` — its quantized, hashable cache key

@@ -395,7 +395,12 @@ class TestDurableServing:
         assert _window_results_json(resumed) == reference_json
         assert resumed.stats.recovered_windows == len(resumed.results)
 
-    def test_mismatched_window_is_refused(self, stream, config, tmp_path):
+    @pytest.mark.parametrize(
+        "change",
+        [{"window": WINDOW / 2}, {"origin": -17.0}],
+        ids=["window", "origin"],
+    )
+    def test_mismatched_window_is_refused(self, stream, config, tmp_path, change):
         durable = replace(
             config,
             durability=DurabilityConfig(directory=tmp_path, fsync=False),
@@ -403,13 +408,42 @@ class TestDurableServing:
         _serve(stream, durable)
         other = replace(
             config,
-            window=WINDOW / 2,
+            **change,
             durability=DurabilityConfig(
                 directory=tmp_path, fsync=False, resume=True
             ),
         )
         with pytest.raises(ValueError, match="refusing to mix"):
             _serve(stream, other)
+
+    def test_older_checkpoint_format_is_replayed(
+        self, stream, config, reference_json, tmp_path
+    ):
+        crash = replace(
+            config,
+            durability=DurabilityConfig(
+                directory=tmp_path, fsync=False, abort_after_commit=7
+            ),
+        )
+        with pytest.raises(SimulatedCrash):
+            _serve(stream, crash)
+        # Stamp every checkpoint with the previous format's magic: resume
+        # must skip them all and rebuild the run from the WAL alone.
+        paths = list(crash.durability.checkpoint_dir.glob("ckpt-*.bin"))
+        assert paths
+        for path in paths:
+            path.write_bytes(b"RDCKPT1\n" + path.read_bytes()[8:])
+        resumed = _serve(
+            stream,
+            replace(
+                config,
+                durability=DurabilityConfig(
+                    directory=tmp_path, fsync=False, resume=True
+                ),
+            ),
+        )
+        assert _window_results_json(resumed) == reference_json
+        assert resumed.stats.recovered_windows == 0
 
     def test_resume_with_quarantined_poison(self, stream, config, tmp_path):
         # Chaos poison is logged before ingest validates it, so the WAL

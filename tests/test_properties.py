@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.algorithms import (
@@ -203,6 +203,32 @@ class TestIngestOracleProperties:
 class TestCommModelProperties:
     @settings(max_examples=50, deadline=None)
     @given(profiles(), st.integers(1, 64), st.integers(1, 64))
+    # Each example subtracts a share from its whole (Eq. 9 at Dis = 0,
+    # Eq. 10 with one vertex group), where rounding can go below zero.
+    @example(
+        profile=WorkloadProfile(
+            gnn_layers=2,
+            num_snapshots=16,
+            avg_subgraph_vertices=12.0,
+            avg_subgraph_edges=97018.0,
+            dissimilarity=0.0,
+            alpha=4,
+        ),
+        ns=1,
+        nv=12,
+    )
+    @example(
+        profile=WorkloadProfile(
+            gnn_layers=3,
+            num_snapshots=14,
+            avg_subgraph_vertices=1763.0934542235545,
+            avg_subgraph_edges=49110.2446726586,
+            dissimilarity=0.5810387591071149,
+            alpha=7,
+        ),
+        ns=15,
+        nv=1,
+    )
     def test_all_components_nonnegative(self, profile, ns, nv):
         model = CommunicationModel(profile)
         factors = ParallelFactors.from_groups(

@@ -1,5 +1,8 @@
 """Unit and integration tests for the streaming-inference service layer."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.serving import (
     ServiceConfig,
     StreamingService,
     WindowedIngestor,
+    WindowPlan,
     WindowProfile,
     WorkloadSignature,
     serve_offline,
@@ -161,6 +165,30 @@ class TestPlanManager:
         assert manager.size == 2
         assert manager.evictions == 1
 
+    def test_exported_state_holds_no_graph(self):
+        manager = PlanManager(DiTileAccelerator(), capacity=4, drift_threshold=0.01)
+        graph = _transition(21_000, n=1024)
+        assert graph[-1].num_edges >= 20_000
+        near = _transition(21_300, n=1024)  # ~1.4% more edges, same bucket
+        decisions = [
+            manager.resolve(g, SPEC)[1] for g in (graph, graph, near)
+        ]
+        assert decisions == [
+            PlanDecision.MISS, PlanDecision.HIT, PlanDecision.REPLAN
+        ]
+        seen = set()
+
+        class TypeRecorder(pickle.Pickler):
+            def persistent_id(self, obj):
+                seen.add(type(obj))
+                return None
+
+        TypeRecorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(
+            manager.export_state()
+        )
+        assert WindowPlan in seen
+        assert not seen & {GraphSnapshot, DynamicGraph, np.ndarray}
+
 
 # ---------------------------------------------------------------------------
 # Ingest
@@ -269,7 +297,7 @@ class TestSimulateWindow:
         model = DiTileAccelerator()
         snap = GraphSnapshot.from_edges(8, [(0, 1), (1, 2), (2, 3)])
         graph = transition_graph(None, snap)
-        plan = model.scheduler.plan(graph, SPEC)
+        plan = WindowPlan.from_plan(model, model.scheduler.plan(graph, SPEC))
         result = simulate_window(model, SPEC, graph, plan)
         assert result.execution_cycles > 0
         assert len(result.per_snapshot_cycles) == 1
@@ -282,8 +310,12 @@ class TestSimulateWindow:
         near = GraphSnapshot.from_edges(32, set(list(edges)[:-3]) | {(0, 31)})
         cold_graph = transition_graph(None, near)
         warm_graph = transition_graph(snap, near)
-        cold_plan = model.scheduler.plan(cold_graph, SPEC)
-        warm_plan = model.scheduler.plan(warm_graph, SPEC)
+        cold_plan = WindowPlan.from_plan(
+            model, model.scheduler.plan(cold_graph, SPEC)
+        )
+        warm_plan = WindowPlan.from_plan(
+            model, model.scheduler.plan(warm_graph, SPEC)
+        )
         cold = simulate_window(model, SPEC, cold_graph, cold_plan)
         warm = simulate_window(model, SPEC, warm_graph, warm_plan)
         assert warm.total_macs < cold.total_macs
