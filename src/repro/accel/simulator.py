@@ -102,13 +102,14 @@ class AcceleratorSimulator:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def _compute_cycles(self, snapshot: SnapshotCosts, utilization: float) -> float:
+    def _compute_cycles(
+        self, snapshot: SnapshotCosts, utilization: float, tiles: int
+    ) -> float:
         """Balanced per-tile compute time, stretched by load imbalance.
 
         Under a fault model the failed tiles' compute share is remapped
-        onto the survivors, so per-tile work grows by
+        onto the ``tiles`` survivors, so per-tile work grows by
         ``total_tiles / live_tiles`` (fault-free the two are equal)."""
-        tiles = self._live_tiles
         work = TileWork(
             gnn_aggregation_macs=snapshot.gnn_aggregation_macs / tiles,
             gnn_combination_macs=snapshot.gnn_combination_macs / tiles,
@@ -137,44 +138,26 @@ class AcceleratorSimulator:
             sp.add("macs", snapshot.rnn_macs)
             sp.add("tile_cycles", pe.dense_cycles(snapshot.rnn_macs / per_pe))
 
-    def _snapshot_cycles(
-        self, snapshot: SnapshotCosts, utilization: float
+    def _compose(
+        self,
+        snapshot: SnapshotCosts,
+        utilization: float,
+        noc_model: NoCModel,
+        tiles: int,
     ) -> CycleBreakdown:
-        with obs_span("compute") as sp:
-            compute = self._compute_cycles(snapshot, utilization)
-            if sp.enabled:
-                sp.add("cycles", compute)
-                self._trace_kernels(snapshot)
-        with obs_span("noc") as sp:
-            on_chip_comm = self.noc_model.transfer_cycles(snapshot.noc)
-            if sp.enabled:
-                sp.add("cycles", on_chip_comm)
-                sp.add("temporal_bytes", snapshot.noc.temporal_bytes)
-                sp.add("spatial_bytes", snapshot.noc.spatial_bytes)
-                sp.add("reuse_bytes", snapshot.noc.reuse_bytes)
-                sp.add("byte_hops", self.noc_model.byte_hops(snapshot.noc))
-        with obs_span("dram") as sp:
-            off_chip = self.dram_model.transfer_cycles(snapshot.dram)
-            if sp.enabled:
-                sp.add("cycles", off_chip)
-                sp.add("bytes", snapshot.dram.total_bytes)
-                sp.add(
-                    "streaming_bytes",
-                    snapshot.dram.streaming_read + snapshot.dram.streaming_write,
-                )
-                sp.add(
-                    "random_bytes",
-                    snapshot.dram.random_read + snapshot.dram.random_write,
-                )
-        with obs_span("overhead") as sp:
-            overhead = (
-                snapshot.sync_events * self.params.sync_latency_cycles
-                + snapshot.config_events * self.params.config_latency_cycles
-            )
-            if sp.enabled:
-                sp.add("cycles", overhead)
-                sp.add("sync_events", snapshot.sync_events)
-                sp.add("config_events", snapshot.config_events)
+        """One snapshot's cycles under the composition rule (module docstring).
+
+        The run prices each snapshot on its own (possibly degraded) NoC
+        model and live tiles; the degraded-mode baseline prices it on the
+        fault-free NoC model and every tile.
+        """
+        compute = self._compute_cycles(snapshot, utilization, tiles)
+        on_chip_comm = noc_model.transfer_cycles(snapshot.noc)
+        off_chip = self.dram_model.transfer_cycles(snapshot.dram)
+        overhead = (
+            snapshot.sync_events * self.params.sync_latency_cycles
+            + snapshot.config_events * self.params.config_latency_cycles
+        )
         residual = self.params.overlap_residual
         on_chip_exec = max(compute, on_chip_comm) + residual * min(
             compute, on_chip_comm
@@ -192,39 +175,39 @@ class AcceleratorSimulator:
             total=total,
         )
 
-    def _fault_free_snapshot_total(
-        self, snapshot: SnapshotCosts, utilization: float
-    ) -> float:
-        """What :meth:`_snapshot_cycles` would return on the clean array.
+    def _trace_breakdown(
+        self, snapshot: SnapshotCosts, breakdown: CycleBreakdown
+    ) -> None:
+        """Per-phase child spans of ``snapshot`` (traced runs only).
 
-        Mirrors that method's composition rule exactly (no spans) using
-        the fault-free NoC model and the full tile count; only consulted
-        when a fault model is active, to fill the degraded-mode report's
-        baseline.
+        Their ``cycles`` counters sum to the :class:`SimulationResult`
+        breakdown; the phase arithmetic itself runs in :meth:`_compose`,
+        so the snapshot span holds its time.
         """
-        assert self._clean_noc is not None
-        tiles = self.hardware.total_tiles
-        work = TileWork(
-            gnn_aggregation_macs=snapshot.gnn_aggregation_macs / tiles,
-            gnn_combination_macs=snapshot.gnn_combination_macs / tiles,
-            rnn_macs=snapshot.rnn_macs / tiles,
-        )
-        compute = self.tile_model.total_cycles(work) / max(utilization, 1e-9)
-        on_chip_comm = self._clean_noc.transfer_cycles(snapshot.noc)
-        off_chip = self.dram_model.transfer_cycles(snapshot.dram)
-        overhead = (
-            snapshot.sync_events * self.params.sync_latency_cycles
-            + snapshot.config_events * self.params.config_latency_cycles
-        )
-        residual = self.params.overlap_residual
-        on_chip_exec = max(compute, on_chip_comm) + residual * min(
-            compute, on_chip_comm
-        )
-        return (
-            max(on_chip_exec, off_chip)
-            + residual * min(on_chip_exec, off_chip)
-            + overhead
-        )
+        with obs_span("compute") as sp:
+            sp.add("cycles", breakdown.compute)
+            self._trace_kernels(snapshot)
+        with obs_span("noc") as sp:
+            sp.add("cycles", breakdown.on_chip)
+            sp.add("temporal_bytes", snapshot.noc.temporal_bytes)
+            sp.add("spatial_bytes", snapshot.noc.spatial_bytes)
+            sp.add("reuse_bytes", snapshot.noc.reuse_bytes)
+            sp.add("byte_hops", self.noc_model.byte_hops(snapshot.noc))
+        with obs_span("dram") as sp:
+            sp.add("cycles", breakdown.off_chip)
+            sp.add("bytes", snapshot.dram.total_bytes)
+            sp.add(
+                "streaming_bytes",
+                snapshot.dram.streaming_read + snapshot.dram.streaming_write,
+            )
+            sp.add(
+                "random_bytes",
+                snapshot.dram.random_read + snapshot.dram.random_write,
+            )
+        with obs_span("overhead") as sp:
+            sp.add("cycles", breakdown.overhead)
+            sp.add("sync_events", snapshot.sync_events)
+            sp.add("config_events", snapshot.config_events)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -248,9 +231,15 @@ class AcceleratorSimulator:
         reroute_penalty: Dict[str, float] = {}
         for snapshot in costs.snapshots:
             with obs_span("snapshot", index=snapshot.timestamp) as snap_sp:
-                breakdown = self._snapshot_cycles(snapshot, costs.load_utilization)
+                breakdown = self._compose(
+                    snapshot,
+                    costs.load_utilization,
+                    self.noc_model,
+                    self._live_tiles,
+                )
                 if snap_sp.enabled:
                     snap_sp.add("cycles", breakdown.total)
+                    self._trace_breakdown(snapshot, breakdown)
             per_snapshot.append(breakdown.total)
             total.compute += breakdown.compute
             total.on_chip += breakdown.on_chip
@@ -261,9 +250,12 @@ class AcceleratorSimulator:
             config_events += snapshot.config_events
             if self.faults is not None:
                 assert self._clean_noc is not None
-                baseline_cycles += self._fault_free_snapshot_total(
-                    snapshot, costs.load_utilization
-                )
+                baseline_cycles += self._compose(
+                    snapshot,
+                    costs.load_utilization,
+                    self._clean_noc,
+                    self.hardware.total_tiles,
+                ).total
                 degraded_cls = self.noc_model.per_class_cycles(snapshot.noc)
                 clean_cls = self._clean_noc.per_class_cycles(snapshot.noc)
                 for name, cycles in degraded_cls.items():

@@ -150,14 +150,13 @@ DETERMINISTIC_PATHS = PathScope(
 UNIT_PATHS = PathScope(include=("accel/", "core/"), exclude=("analysis/",))
 
 #: Paths that run under more than one thread (ingest thread + dispatch
-#: loop + worker pool) or across processes (shard workers + coordinator).
-#: ``obs/distributed.py`` is listed by file: it carries the shard-trace
-#: payloads across the process boundary, while the rest of ``obs/`` is
-#: single-threaded within each process.  ``durability/`` is in scope
-#: because the WAL/checkpoint commit barrier runs on the pipeline's
-#: collector thread while the ingest thread appends records.
+#: loop + worker pool).  ``durability/`` is in scope because the
+#: WAL/checkpoint commit barrier runs on the pipeline's collector thread
+#: while the ingest thread appends records.  ``dist/`` names no package in
+#: ``src/``; it keeps the process-rule fixtures under
+#: ``tests/fixtures/lint/dist/`` in scope.
 THREADED_PATHS = PathScope(
-    include=("serving/", "dist/", "durability/", "obs/distributed.py"),
+    include=("serving/", "dist/", "durability/"),
     exclude=("analysis/",),
 )
 

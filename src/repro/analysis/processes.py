@@ -1,7 +1,7 @@
-"""Process-safety rules (MP001-MP005) for the distributed layer.
+"""Process-safety rules (MP001-MP005) for code that forks.
 
-The ``repro.dist`` layer (``docs/distributed.md``) rests on four
-inter-process invariants that a single-statement linter cannot see:
+Code that forks worker processes rests on four inter-process invariants
+that a single-statement linter cannot see:
 
 * **fork-before-threads ordering** — ``fork()`` in a process that already
   runs threads clones held locks and half-initialized state into the
@@ -58,13 +58,13 @@ __all__ = [
     "PROCESS_RULES",
 ]
 
-#: Paths that cross process boundaries: the shard workers, coordinator,
-#: shared-memory plumbing, the shard-trace payloads the workers flush
-#: back over the result queues, and the durability layer (whose recovery
-#: harness forks victim processes and whose WAL/checkpoint directories
-#: are handed across coordinator restarts).
+#: Paths that cross process boundaries: the durability layer, whose
+#: recovery harness forks victim processes and whose WAL/checkpoint
+#: directories are handed across process restarts.  ``dist/`` names no
+#: package in ``src/``; it keeps the rule fixtures under
+#: ``tests/fixtures/lint/dist/`` in scope.
 PROCESS_PATHS = PathScope(
-    include=("dist/", "durability/", "obs/distributed.py"),
+    include=("dist/", "durability/"),
     exclude=("analysis/",),
 )
 

@@ -302,120 +302,6 @@ def serving_pipeline(
     )
 
 
-def serving_sharded(
-    num_events: int, num_vertices: int, num_windows: int, shards: int
-) -> CaseOutput:
-    """The sharded multi-process service over the same synthetic stream.
-
-    Every counter here must equal its ``serving/throughput`` analogue on
-    the same stream parameters — the bench gate doubles as a standing
-    parity check — plus the dist-only invariants: shard subgraph edges
-    sum to the global edge count (``cut_edges_final`` tracks the split)
-    and a healthy run performs zero restarts.
-    """
-    from ..dist import ShardedConfig, ShardedService
-    from ..ditile import DiTileAccelerator
-    from ..serving import ServiceConfig, synthetic_event_stream
-
-    stream = synthetic_event_stream(
-        num_vertices=num_vertices, num_events=num_events, seed=7
-    )
-    first, last = stream.time_span
-    config = ShardedConfig(
-        shards=shards,
-        service=ServiceConfig(
-            window=(last - first) / num_windows,
-            workers=2,
-            max_batch_windows=4,
-            queue_capacity=8,
-        ),
-    )
-    spec = DGNNSpec.classic(64)
-    service = ShardedService(DiTileAccelerator(), config)
-    report = service.serve(stream, spec)
-    stats = report.stats
-    return CaseOutput(
-        counters={
-            "windows": float(stats.windows),
-            "events": float(stats.events),
-            "late_events": float(stats.late_events),
-            "plan_hits": float(stats.plan_hits),
-            "plan_misses": float(stats.plan_misses),
-            "plan_replans": float(stats.plan_replans),
-            "plan_evictions": float(stats.plan_evictions),
-            "plan_cache_size": float(stats.plan_cache_size),
-            "total_cycles": report.total_cycles,
-            "shards": float(stats.shards),
-            "restarts": float(stats.restarts),
-            "cut_edges_final": float(stats.cut_edges_final),
-        },
-        timings={
-            "elapsed_s": stats.elapsed_s,
-            "events_per_sec": stats.events_per_sec,
-            "p50_latency_s": stats.p50_latency_s,
-            "p95_latency_s": stats.p95_latency_s,
-        },
-    )
-
-
-def serving_traced(
-    num_events: int, num_vertices: int, num_windows: int, shards: int
-) -> CaseOutput:
-    """The sharded service under the tracer — the tracer-overhead gate.
-
-    Counters replay the ``serving/sharded`` parity set (tracing must not
-    perturb served results) plus the telemetry reconciliation: the
-    ``shard.events`` / ``shard.windows`` counters folded across every
-    shard's flushed registry must equal the served totals exactly, and
-    the canonical merged shard-span log has a deterministic line count.
-    Wall-clock timings land in the banded class, so a tracer hot-path
-    regression shows up as an elapsed-time drift against the baseline.
-    """
-    from ..dist import ShardedConfig, ShardedService
-    from ..ditile import DiTileAccelerator
-    from ..obs import TraceSession, aggregate_shard_counters, shard_span_lines
-    from ..serving import ServiceConfig, synthetic_event_stream
-
-    stream = synthetic_event_stream(
-        num_vertices=num_vertices, num_events=num_events, seed=7
-    )
-    first, last = stream.time_span
-    config = ShardedConfig(
-        shards=shards,
-        service=ServiceConfig(
-            window=(last - first) / num_windows,
-            workers=2,
-            max_batch_windows=4,
-            queue_capacity=8,
-        ),
-    )
-    spec = DGNNSpec.classic(64)
-    with TraceSession() as session:
-        report = ShardedService(DiTileAccelerator(), config).serve(stream, spec)
-    stats = report.stats
-    folded = aggregate_shard_counters(session.tracer)
-    return CaseOutput(
-        counters={
-            "windows": float(stats.windows),
-            "events": float(stats.events),
-            "total_cycles": report.total_cycles,
-            "restarts": float(stats.restarts),
-            "shard_batches": float(len(session.tracer.shard_batches)),
-            "shard_span_lines": float(len(shard_span_lines(session.tracer))),
-            "telemetry_events": folded.get("shard.events", {}).get("total", 0.0),
-            "telemetry_windows": folded.get("shard.windows", {}).get(
-                "total", 0.0
-            ),
-        },
-        timings={
-            "elapsed_s": stats.elapsed_s,
-            "events_per_sec": stats.events_per_sec,
-            "p50_latency_s": stats.p50_latency_s,
-            "p95_latency_s": stats.p95_latency_s,
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # Registration
 # ---------------------------------------------------------------------------
@@ -509,40 +395,4 @@ def register_all(registry: BenchRegistry) -> None:
             "workers": 2, "pipeline_depth": 4,
         },
         description="overlapped window pipeline on the standard stream",
-    )
-    registry.register(
-        "serving/sharded[smoke]",
-        lambda: serving_sharded(
-            num_events=1_500, num_vertices=64, num_windows=10, shards=2
-        ),
-        suites=("smoke", "full"),
-        params={
-            "num_events": 1_500, "num_vertices": 64,
-            "num_windows": 10, "shards": 2,
-        },
-        description="sharded multi-process service, CI-sized stream",
-    )
-    registry.register(
-        "serving/traced[smoke]",
-        lambda: serving_traced(
-            num_events=1_500, num_vertices=64, num_windows=10, shards=2
-        ),
-        suites=("smoke", "full"),
-        params={
-            "num_events": 1_500, "num_vertices": 64,
-            "num_windows": 10, "shards": 2,
-        },
-        description="sharded service under the tracer (overhead gate)",
-    )
-    registry.register(
-        "serving/sharded[standard]",
-        lambda: serving_sharded(
-            num_events=6_000, num_vertices=128, num_windows=24, shards=4
-        ),
-        suites=("full",),
-        params={
-            "num_events": 6_000, "num_vertices": 128,
-            "num_windows": 24, "shards": 4,
-        },
-        description="sharded multi-process service, 4-shard stream",
     )

@@ -18,8 +18,7 @@ Commands
 ``chaos {serve,sweep,recover}``
     Resilience tooling (see ``docs/resilience.md``): ``serve`` replays a
     stream under seeded fault injection (worker crashes, latency, poison
-    events, real shard-worker SIGKILLs via ``--sigkill``) and prints the
-    deterministic chaos report; ``sweep`` produces the
+    events) and prints the deterministic chaos report; ``sweep`` produces the
     slowdown-vs-fault-rate curve comparing the reconfigurable ring+Re-Link
     NoC against a static mesh; ``recover`` SIGKILLs the serving process at
     window boundaries, resumes from the WAL, and byte-compares the results
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--results-json", default=None, metavar="OUT",
         help="write the deterministic per-window results (JSON) to OUT — "
-        "byte-comparable across pipeline depths and shard counts (the CI "
+        "byte-comparable across pipeline depths and worker counts (the CI "
         "pipeline-parity gate)",
     )
 
@@ -142,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_serve.add_argument(
         "--max-attempts", type=int, default=4,
         help="retry budget per window (attempts, including the first)",
-    )
-    chaos_serve.add_argument(
-        "--sigkill", type=int, default=0, metavar="N",
-        help="schedule N real SIGKILLs of shard workers (requires "
-        "--shards >= 1; kills are seeded and deterministic)",
     )
     chaos_serve.add_argument(
         "--json", default=None, metavar="OUT",
@@ -209,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", default=None, metavar="DIR",
             help="also write trace.json / spans.jsonl / phases.json / "
-            "flame.folded (+ shard_spans.jsonl on sharded runs) to DIR",
+            "flame.folded to DIR",
         )
         p.add_argument(
             "--format", choices=["text", "json"], default="text",
@@ -394,12 +388,6 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
                         help="LRU bound of the execution-plan cache")
     parser.add_argument("--hidden-dim", type=int, default=64,
                         help="DGNN hidden width (synthetic mode)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="shard the stream over N worker processes "
-                        "(0 = single-process; results are bit-identical "
-                        "either way — see docs/distributed.md)")
-    parser.add_argument("--partition-seed", type=int, default=0,
-                        help="consistent-hash partition seed (sharded mode)")
     parser.add_argument("--wal", default=None, metavar="DIR",
                         help="durable ingest: write-ahead-log every event "
                         "and checkpoint every committed window under DIR "
@@ -641,8 +629,8 @@ def _window_results_json(report) -> str:
 
     Includes only simulation-derived fields (never wall-clock timings),
     so two runs over the same stream are byte-identical regardless of
-    pipeline depth, worker count, or shard count — the CI
-    pipeline-parity job diffs these dumps directly.
+    pipeline depth or worker count — the CI pipeline-parity job diffs
+    these dumps directly.
     """
     import json
 
@@ -685,23 +673,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         f"[{first:g}, {last:g}], V={stream.num_vertices}, "
         f"window={window:g} ({stream.num_windows(window, origin=origin)} windows)"
     )
-    if args.shards >= 1:
-        from .dist import ShardedConfig, ShardedService
-
-        service = ShardedService(
-            ditile_model(),
-            ShardedConfig(
-                shards=args.shards,
-                service=config,
-                partition_seed=args.partition_seed,
-            ),
-        )
-        try:
-            report = service.serve(stream, spec)
-        finally:
-            service.shutdown()
-    else:
-        report = StreamingService(ditile_model(), config).serve(stream, spec)
+    report = StreamingService(ditile_model(), config).serve(stream, spec)
     print(report.stats.summary())
     print(
         f"simulated load     {report.total_cycles:.3e} accelerator cycles "
@@ -751,7 +723,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         BreakerConfig,
         ChaosSchedule,
         RetryPolicy,
-        ShardKillSchedule,
         run_chaos,
     )
     from .serving import ServiceConfig
@@ -778,16 +749,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         quarantine=True,
         durability=_durability_config(args),
     )
-    shard_kills = None
-    if args.sigkill:
-        if args.shards < 1:
-            raise SystemExit("--sigkill requires --shards >= 1")
-        shard_kills = ShardKillSchedule.sample(
-            seed=args.chaos_seed,
-            shards=args.shards,
-            num_windows=stream.num_windows(window, origin=origin),
-            kills=args.sigkill,
-        )
     first, last = stream.time_span
     print(
         f"stream: {stream.name} |O|={stream.num_events} events over "
@@ -795,13 +756,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"window={window:g}"
     )
     print(f"chaos: {schedule.describe()}")
-    if args.shards >= 1:
-        print(f"shards: {args.shards} worker processes")
-    if shard_kills is not None:
-        print(f"kills: {shard_kills.describe()}")
     report, chaos_report = run_chaos(
-        stream, spec, schedule, config=config, model=ditile_model(),
-        shards=args.shards, shard_kills=shard_kills,
+        stream, spec, schedule, config=config, model=ditile_model()
     )
     print(report.stats.summary())
     print(chaos_report.summary())
@@ -845,17 +801,14 @@ def _cmd_chaos_recover(args: argparse.Namespace) -> int:
         f"[{first:g}, {last:g}], V={stream.num_vertices}, "
         f"window={window:g} ({stream.num_windows(window, origin=origin)} windows)"
     )
-    shards = args.shards if args.shards >= 1 else 0
     print(
-        f"recover: shards={shards or 'single-process'} "
-        f"depth={args.pipeline_depth} "
+        f"recover: depth={args.pipeline_depth} "
         f"kill points={'all boundaries' if kill_points is None else kill_points}"
     )
     report, _reference = run_recover_sweep(
         stream,
         spec,
         config=config,
-        shards=shards,
         kill_points=kill_points,
         root=args.artifacts,
         keep_artifacts=args.artifacts is not None,
@@ -888,23 +841,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         drift_threshold=args.drift_threshold,
         durability=_durability_config(args),
     )
-    if args.shards >= 1:
-        from .dist import ShardedConfig, ShardedService
-
-        service = ShardedService(
-            ditile_model(),
-            ShardedConfig(
-                shards=args.shards,
-                service=config,
-                partition_seed=args.partition_seed,
-            ),
-        )
-        try:
-            report = service.serve(stream, spec)
-        finally:
-            service.shutdown()
-    else:
-        report = StreamingService(ditile_model(), config).serve(stream, spec)
+    report = StreamingService(ditile_model(), config).serve(stream, spec)
     slo_report = _slo_monitor(args).evaluate(report.stats)
     if args.format == "json":
         print(slo_report.render_json())

@@ -1,15 +1,14 @@
 """Durable ingest: write-ahead log, checkpoints, crash-consistent recovery.
 
-The serving stack (single-process :class:`~repro.serving.service.StreamingService`
-and the sharded :class:`~repro.dist.coordinator.ShardedService`) is
-memory-only by default: a coordinator crash loses every ingested event
-and in-flight window.  This package makes a run crash-consistent:
+The serving stack (:class:`~repro.serving.service.StreamingService`) is
+memory-only by default: a crash loses every ingested event and in-flight
+window.  This package makes a run crash-consistent:
 
 * :mod:`.wal` — a segmented append-only event log with per-record
   checksums (log-before-ack at the ingest boundary) plus the run lock
   that serializes ownership of a durability directory;
 * :mod:`.checkpoint` — atomically written, N-deep-retained snapshots of
-  the serving state at a window watermark (global snapshot, plan-cache
+  the serving state at a window watermark (graph snapshot, plan-cache
   state, per-window results);
 * :mod:`.recovery` — the recovery manager gluing both into the serving
   layer: on ``repro serve --wal DIR --resume`` it loads the newest valid
@@ -21,7 +20,7 @@ and in-flight window.  This package makes a run crash-consistent:
 
 The invariant all of it defends: a run killed at **any** window boundary
 and resumed produces per-window results byte-identical to the
-uninterrupted run, for any shard count and pipeline depth.  See
+uninterrupted run, for any pipeline depth.  See
 ``docs/resilience.md`` ("Durability & recovery").
 """
 

@@ -3,9 +3,7 @@
 A checkpoint captures everything recovery needs to make the resumed run
 byte-identical to the uninterrupted one from the *watermark* onwards:
 
-* the graph snapshot as of the last committed window (the coordinator
-  snapshot in the sharded service — per-shard subgraphs are re-derived
-  from it with the same seeded partition, so they are not stored twice);
+* the graph snapshot as of the last committed window;
 * the plan-manager state (cache entries in LRU order, hit/miss/replan
   counters, circuit-breaker scalars) so post-resume plan decisions
   match the uninterrupted run exactly.  Each cached plan is a
@@ -67,10 +65,8 @@ class Checkpoint:
     counters: Dict[str, int] = field(default_factory=dict)
     #: stream positions logged to the WAL when this checkpoint was cut
     wal_records: int = 0
-    #: run-shape fingerprint (shards, window, origin, ...) checked on resume
+    #: run-shape fingerprint (window, origin) checked on resume
     meta: Dict[str, Any] = field(default_factory=dict)
-    #: sharded-service extras (per-shard counters, edge accounts)
-    shard_state: Optional[Dict[str, Any]] = None
 
 
 def _checkpoint_path(directory: Path, watermark: int) -> Path:

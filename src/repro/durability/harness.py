@@ -5,11 +5,10 @@ real process granularity: for each selected window boundary it forks a
 victim process that serves the stream with ``kill_after_commit`` armed —
 the victim SIGKILLs *itself* the instant that window's commit is durable
 (checkpoint written, WAL fsynced), exactly the no-cleanup crash an OOM
-kill or power loss produces (sharded victims additionally strand their
-shard workers, shared-memory segments, and the run lock).  The harness
-then resumes from the crashed directory in-process and byte-compares the
-resumed run's deterministic per-window results JSON against an
-uninterrupted reference run.
+kill or power loss produces (the victim also strands its run lock).  The
+harness then resumes from the crashed directory in-process and
+byte-compares the resumed run's deterministic per-window results JSON
+against an uninterrupted reference run.
 
 Everything in the resulting :class:`RecoverReport` is a pure function of
 (stream, spec, config, kill points): kill exit codes, byte-identity
@@ -59,7 +58,6 @@ class RecoverOutcome:
 class RecoverReport:
     """The deterministic outcome of one recovery sweep."""
 
-    shards: int = 0
     pipeline_depth: int = 1
     windows: int = 0
     outcomes: List[RecoverOutcome] = field(default_factory=list)
@@ -77,7 +75,6 @@ class RecoverReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "shards": self.shards,
             "pipeline_depth": self.pipeline_depth,
             "windows": self.windows,
             "outcomes": [
@@ -104,7 +101,7 @@ class RecoverReport:
         head = (
             f"recovery sweep     {len(self.outcomes)} kill points over "
             f"{self.windows} windows "
-            f"(shards={self.shards}, depth={self.pipeline_depth}): "
+            f"(depth={self.pipeline_depth}): "
         )
         if not self.outcomes:
             return head + "nothing to kill"
@@ -122,25 +119,18 @@ def _serve(
     stream: Any,
     spec: Any,
     config: Any,
-    shards: int,
     durability: Optional[DurabilityConfig],
 ) -> Any:
-    """One serve run — single-process or sharded — returning its report."""
+    """One serve run, returning its report."""
     from dataclasses import replace
 
     from ..serving.service import StreamingService
 
     cfg = replace(config, durability=durability)
-    if shards >= 1:
-        from ..dist import ShardedConfig, ShardedService
-
-        return ShardedService(config=ShardedConfig(shards=shards, service=cfg)).serve(
-            stream, spec
-        )
     return StreamingService(config=cfg).serve(stream, spec)
 
 
-def _victim(stream, spec, config, shards, directory, kill_point) -> None:
+def _victim(stream, spec, config, directory, kill_point) -> None:
     """Process target: serve with the self-SIGKILL hook armed.
 
     Reaching the end without being killed means the hook never fired
@@ -149,14 +139,13 @@ def _victim(stream, spec, config, shards, directory, kill_point) -> None:
     durability = DurabilityConfig(
         directory=directory, kill_after_commit=kill_point
     )
-    _serve(stream, spec, config, shards, durability)
+    _serve(stream, spec, config, durability)
 
 
 def run_recover_sweep(
     stream: Any,
     spec: Any,
     config: Optional[Any] = None,
-    shards: int = 0,
     kill_points: Optional[Sequence[int]] = None,
     root: Optional[str] = None,
     keep_artifacts: bool = False,
@@ -181,7 +170,7 @@ def run_recover_sweep(
 
         results_json = _window_results_json
 
-    reference = _serve(stream, spec, config, shards, durability=None)
+    reference = _serve(stream, spec, config, durability=None)
     reference_json = results_json(reference)
     n = len(reference.results)
     points = list(kill_points) if kill_points is not None else list(range(n))
@@ -191,18 +180,15 @@ def run_recover_sweep(
             f"kill points {bad_points} out of range [0, {n}) for this stream"
         )
 
-    report = RecoverReport(
-        shards=shards, pipeline_depth=config.pipeline_depth, windows=n
-    )
+    report = RecoverReport(pipeline_depth=config.pipeline_depth, windows=n)
     base = root or tempfile.mkdtemp(prefix="repro-recover-")
     os.makedirs(base, exist_ok=True)
-    # fork: the victim inherits the stream/spec/config objects directly,
-    # and a forked child is exactly the process shape a sharded run has.
+    # fork: the victim inherits the stream/spec/config objects directly.
     ctx = multiprocessing.get_context("fork")
     for k in points:
         workdir = os.path.join(base, f"kill-{k:04d}")
         victim = ctx.Process(
-            target=_victim, args=(stream, spec, config, shards, workdir, k)
+            target=_victim, args=(stream, spec, config, workdir, k)
         )
         victim.start()
         victim.join(timeout=600)
@@ -217,7 +203,6 @@ def run_recover_sweep(
                 stream,
                 spec,
                 config,
-                shards,
                 DurabilityConfig(directory=workdir, resume=True),
             )
             resumed_json = results_json(resumed)

@@ -1,10 +1,10 @@
 """Crash-consistent recovery: glue between WAL/checkpoints and serving.
 
 :class:`DurableRun` is the lifecycle object the serving layer holds for
-one durable run.  ``start()`` acquires the run lock (reclaiming a dead
-owner's orphaned workers and shared-memory segments first), opens the
-WAL (replaying and tail-truncating as needed), and — on ``resume`` —
-loads the newest valid checkpoint.  The service then:
+one durable run.  ``start()`` acquires the run lock (taking over a dead
+owner's lock), opens the WAL (replaying and tail-truncating as needed),
+and — on ``resume`` — loads the newest valid checkpoint.  The service
+then:
 
 * restores the committed prefix from the checkpoint (results, records,
   counters, plan-manager state, graph snapshot) and starts its window
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import signal
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..graphs.continuous import EdgeEvent, window_index
@@ -49,7 +48,6 @@ __all__ = [
     "DurableRun",
     "SimulatedCrash",
     "WindowCommitter",
-    "reclaim_stale_run",
 ]
 
 
@@ -124,49 +122,6 @@ class WindowCommitter:
             raise SimulatedCrash(index)
 
 
-def _orphan_cmdline(pid: int) -> Optional[bytes]:
-    try:
-        return Path(f"/proc/{pid}/cmdline").read_bytes()
-    except OSError:
-        return None
-
-
-def reclaim_stale_run(info: LockInfo) -> Tuple[int, int]:
-    """Clean up after a dead lock owner; returns ``(killed, swept)``.
-
-    Kills the shard-worker pids the dead coordinator recorded in its
-    lock (only if ``/proc`` confirms a live python process — pids
-    recycle) and sweeps the full shared-memory segment name grid of the
-    dead session: ``shards x generations x windows`` names, every one
-    the dead run could possibly have created (segment names are
-    deterministic precisely to make this sweep exhaustive).
-    """
-    killed = 0
-    for pid in info.workers:
-        if pid <= 0 or pid == os.getpid():
-            continue
-        cmdline = _orphan_cmdline(pid)
-        if cmdline is None or b"python" not in cmdline.lower():
-            continue
-        try:
-            os.kill(pid, signal.SIGKILL)
-            killed += 1
-        except (ProcessLookupError, PermissionError):  # pragma: no cover
-            continue
-    swept = 0
-    if info.session and info.shards > 0:
-        from ..dist.shmem import unlink_segment
-        from ..dist.worker import segment_name
-
-        for shard in range(info.shards):
-            for generation in range(info.max_generations + 1):
-                for window in range(info.num_windows):
-                    name = segment_name(info.session, shard, generation, window)
-                    if unlink_segment(name):
-                        swept += 1
-    return killed, swept
-
-
 class DurableRun:
     """One durable serving run: lock + WAL + checkpoints + replay state."""
 
@@ -186,10 +141,6 @@ class DurableRun:
         #: replayed ``(position, event)`` records, append order
         self.records: List[Tuple[int, EdgeEvent]] = []
         self.checkpoint: Optional[Checkpoint] = None
-        #: stale-owner lock info reclaimed at start (``None`` if clean)
-        self.reclaimed: Optional[LockInfo] = None
-        #: orphan workers killed / shm segments swept during reclaim
-        self.reclaim_counts: Tuple[int, int] = (0, 0)
         self.resumed = False
         self.replayed_windows = 0
         self.recovery_s = 0.0
@@ -212,15 +163,12 @@ class DurableRun:
         return self.records[-1][0] + 1 if self.records else 0
 
     def start(self) -> "DurableRun":
-        """Lock, sweep, open the WAL, load the checkpoint; ready to serve."""
+        """Lock, open the WAL, load the checkpoint; ready to serve."""
         cfg = self.config
         cfg.root.mkdir(parents=True, exist_ok=True)
         self._started_at = wall_clock()
         with obs_span("durability.recover", resume=cfg.resume) as sp:
-            stale = self._lock.acquire(LockInfo(pid=os.getpid()))
-            if stale is not None:
-                self.reclaimed = stale
-                self.reclaim_counts = reclaim_stale_run(stale)
+            self._lock.acquire(LockInfo(pid=os.getpid()))
             try:
                 if not cfg.resume and self._has_prior_run():
                     raise ValueError(
@@ -359,26 +307,6 @@ class DurableRun:
             kill_after=cfg.kill_after_commit,
             abort_after=cfg.abort_after_commit,
             on_commit=self.note_commit,
-        )
-
-    def record_workers(
-        self,
-        session: str,
-        shards: int,
-        num_windows: int,
-        max_generations: int,
-        pids: Iterable[int],
-    ) -> None:
-        """Record the sharded-run grid in the lock for stale reclaim."""
-        self._lock.update(
-            LockInfo(
-                pid=os.getpid(),
-                session=session,
-                shards=shards,
-                num_windows=num_windows,
-                max_generations=max_generations,
-                workers=tuple(pids),
-            )
         )
 
     def finalize_stats(self, stats: Any) -> None:

@@ -30,10 +30,8 @@ the dispatch thread at every window commit, so all file mutation is
 serialized under one lock.
 
 :class:`RunLock` serializes ownership of a durability directory: the
-lock file records the owning pid, the shared-memory session id, and the
-live worker pids, so a recovering process can detect a stale lock
-(owner dead), reap orphaned shard workers, and sweep orphaned
-shared-memory segments before taking over — see
+lock file records the owning pid, so a recovering process can detect a
+stale lock (owner dead) and take it over — see
 :meth:`~repro.durability.recovery.DurableRun.start`.
 """
 
@@ -44,7 +42,7 @@ import os
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -284,45 +282,18 @@ class WriteAheadLog:
 # ---------------------------------------------------------------------------
 @dataclass
 class LockInfo:
-    """What a run lock records about its owner.
-
-    Enough for a successor to clean up after a SIGKILLed owner: the
-    shared-memory session id plus the grid bounds (shards, generations,
-    windows) enumerate every segment name the dead run could have
-    created, and ``workers`` are the shard-worker pids to reap.
-    """
+    """What a run lock records about its owner: the owning pid."""
 
     pid: int
-    session: str = ""
-    shards: int = 0
-    num_windows: int = 0
-    max_generations: int = 0
-    workers: Tuple[int, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pid": self.pid,
-                "session": self.session,
-                "shards": self.shards,
-                "num_windows": self.num_windows,
-                "max_generations": self.max_generations,
-                "workers": list(self.workers),
-            },
-            sort_keys=True,
-        )
+        return json.dumps({"pid": self.pid}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LockInfo":
-        raw = json.loads(text)
-        return cls(
-            pid=int(raw["pid"]),
-            session=str(raw.get("session", "")),
-            shards=int(raw.get("shards", 0)),
-            num_windows=int(raw.get("num_windows", 0)),
-            max_generations=int(raw.get("max_generations", 0)),
-            workers=tuple(int(p) for p in raw.get("workers", [])),
-        )
+        # Older lock bodies carry more keys (a session id, worker pids);
+        # only the pid decides whether the owner is alive.
+        return cls(pid=int(json.loads(text)["pid"]))
 
 
 def _pid_alive(pid: int) -> bool:
@@ -341,10 +312,9 @@ class RunLock:
     """Exclusive ownership of a durability directory, keyed by run id.
 
     Acquisition is ``O_CREAT | O_EXCL`` on the lock file.  An existing
-    lock whose recorded pid is dead is *stale*: :meth:`acquire` returns
-    its :class:`LockInfo` to the caller (who sweeps the dead run's
-    leavings — see :func:`~repro.durability.recovery.reclaim_stale_lock`)
-    and takes the lock over.  A lock owned by a live process raises
+    lock whose recorded pid is dead (or whose body is torn) is *stale*:
+    :meth:`acquire` takes it over and returns the dead owner's
+    :class:`LockInfo`.  A lock owned by a live process raises
     :class:`WalLockedError`.
     """
 
@@ -365,8 +335,7 @@ class RunLock:
                 if owner is not None and _pid_alive(owner.pid):
                     raise WalLockedError(
                         f"{self.path}: durability directory is locked by "
-                        f"live pid {owner.pid} (session "
-                        f"{owner.session or '<none>'})"
+                        f"live pid {owner.pid}"
                     )
                 stale = owner if owner is not None else stale
                 try:
@@ -379,7 +348,6 @@ class RunLock:
             finally:
                 os.close(fd)
             self._held = True
-            self._info = info
             return stale
 
     def _read_owner(self) -> Optional[LockInfo]:
@@ -389,28 +357,11 @@ class RunLock:
             # Unreadable or torn lock content counts as stale.
             return None
 
-    def update(self, info: LockInfo) -> None:
-        """Atomically rewrite the lock body (e.g. fresh worker pids)."""
-        if not self._held:
-            raise ValueError("update on a lock that is not held")
-        tmp = self.path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(info.to_json())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._info = info
-
-    @property
-    def info(self) -> LockInfo:
-        """The lock body as last written by this process."""
-        return self._info
-
     def release(self) -> None:
         """Drop the lock (idempotent; no-op if never acquired)."""
         if not self._held:
             return
-        self._held = False  # repro: noqa[THR001] RunLock is owner-exclusive and driven only from the coordinator main thread; `release` merely collides with unrelated thread-root method names
+        self._held = False  # repro: noqa[THR001] RunLock is owner-exclusive and driven only from the thread that runs serve(); `release` merely collides with unrelated thread-root method names
         try:
             os.unlink(self.path)
         except FileNotFoundError:  # pragma: no cover - already gone

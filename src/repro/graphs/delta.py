@@ -29,8 +29,6 @@ __all__ = [
     "sorted_isin",
     "delta_counts",
     "apply_delta",
-    "split_delta",
-    "merge_deltas",
     "common_core",
     "AdditionOnlyStep",
     "addition_only_schedule",
@@ -174,9 +172,8 @@ def apply_delta(
     is read straight off the spliced keys.  No sort, unique or set
     operation runs over the full edge set.
 
-    The delta may arrive in any order and may repeat edges (a merge of
-    shard deltas does both).  Removals of absent edges and additions of
-    present edges are no-ops, matching
+    The delta may arrive in any order and may repeat edges.  Removals of
+    absent edges and additions of present edges are no-ops, matching
     :meth:`ContinuousDynamicGraph.edges_at` set semantics; an edge listed
     as both added and removed ends present.  Vertex ids past ``prev``'s
     vertex space grow it.
@@ -206,57 +203,6 @@ def apply_delta(
         keys % id_space,
         feature_dim=prev.feature_dim,
         timestamp=timestamp,
-    )
-
-
-def split_delta(delta: SnapshotDelta, assignment: np.ndarray) -> List[SnapshotDelta]:
-    """Split ``delta`` into per-part deltas by the owner of each edge's dst.
-
-    The sharded serving layer's delta-distribution primitive: edge changes
-    are owned by the part owning the destination vertex, so the returned
-    deltas are disjoint and :func:`merge_deltas` over them recovers the
-    exact global delta (in any order — :func:`apply_delta` canonicalizes).
-    """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    num_parts = int(assignment.max()) + 1 if len(assignment) else 1
-    out: List[SnapshotDelta] = []
-    added_owner = assignment[delta.added_dst]
-    removed_owner = assignment[delta.removed_dst]
-    for part in range(num_parts):
-        add = added_owner == part
-        rem = removed_owner == part
-        out.append(
-            SnapshotDelta(
-                added_src=delta.added_src[add],
-                added_dst=delta.added_dst[add],
-                removed_src=delta.removed_src[rem],
-                removed_dst=delta.removed_dst[rem],
-            )
-        )
-    return out
-
-
-def merge_deltas(deltas: List[SnapshotDelta]) -> SnapshotDelta:
-    """Concatenate disjoint per-part deltas into one global delta.
-
-    The coordinator's merge step: parts contribute in list order, which
-    callers keep deterministic (shard 0..S-1).  The result is *not*
-    re-sorted — :func:`apply_delta` is order-insensitive, so snapshots
-    built from a merged delta are bit-identical to the single-partition
-    path regardless of how changes were split.
-    """
-    if not deltas:
-        return SnapshotDelta(
-            added_src=np.empty(0, dtype=np.int64),
-            added_dst=np.empty(0, dtype=np.int64),
-            removed_src=np.empty(0, dtype=np.int64),
-            removed_dst=np.empty(0, dtype=np.int64),
-        )
-    return SnapshotDelta(
-        added_src=np.concatenate([d.added_src for d in deltas]),
-        added_dst=np.concatenate([d.added_dst for d in deltas]),
-        removed_src=np.concatenate([d.removed_src for d in deltas]),
-        removed_dst=np.concatenate([d.removed_dst for d in deltas]),
     )
 
 

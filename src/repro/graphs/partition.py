@@ -27,9 +27,6 @@ __all__ = [
     "contiguous_vertex_partition",
     "round_robin_partition",
     "bfs_partition",
-    "hash_vertex_partition",
-    "jump_consistent_hash",
-    "shard_subgraph",
     "snapshot_assignment",
     "edge_cut",
     "partition_loads",
@@ -66,15 +63,6 @@ class VertexPartition:
     def sizes(self) -> np.ndarray:
         """Vertex count per part."""
         return np.bincount(self.assignment, minlength=self.num_parts)
-
-    def empty_parts(self) -> np.ndarray:
-        """Parts owning no vertices (possible whenever parts > vertices).
-
-        Every partitioner here must tolerate — and every consumer must
-        accept — empty parts, because the sharded serving layer partitions
-        arbitrary vertex spaces over an operator-chosen shard count.
-        """
-        return np.flatnonzero(self.sizes() == 0)
 
 
 def contiguous_vertex_partition(num_vertices: int, num_parts: int) -> VertexPartition:
@@ -166,94 +154,6 @@ def bfs_partition(snapshot: GraphSnapshot, num_parts: int) -> VertexPartition:
                 if assignment[u] == -1:
                     queue.append(int(u))
     return VertexPartition(num_parts, assignment)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer: a cheap, well-mixed 64-bit integer hash.
-
-    Applied to vertex ids before jump hashing so that the near-sequential
-    id spaces real graphs use do not land in correlated buckets.
-    """
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def jump_consistent_hash(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Vectorized jump consistent hash (Lamping & Veach, 2014).
-
-    Maps each 64-bit ``key`` to a bucket in ``[0, num_buckets)`` such that
-    growing ``num_buckets`` from ``k`` to ``k + 1`` remaps only an expected
-    ``1 / (k + 1)`` fraction of keys — and every remapped key moves to the
-    *new* bucket ``k``.  That minimal-movement property is what makes the
-    sharded serving layer's vertex routing "consistent": resharding moves
-    only the vertices the new shard takes over.
-    """
-    if num_buckets <= 0:
-        raise ValueError(f"num_buckets must be positive, got {num_buckets}")
-    keys = np.asarray(keys).astype(np.uint64, copy=True)
-    n = len(keys)
-    bucket = np.zeros(n, dtype=np.int64)
-    candidate = np.zeros(n, dtype=np.int64)
-    active = candidate < num_buckets
-    while np.any(active):
-        bucket[active] = candidate[active]
-        keys[active] = keys[active] * np.uint64(2862933555777941757) + np.uint64(1)
-        draw = ((keys[active] >> np.uint64(33)) + np.uint64(1)).astype(np.float64)
-        candidate[active] = (
-            (bucket[active] + 1).astype(np.float64) * float(1 << 31) / draw
-        ).astype(np.int64)
-        active = candidate < num_buckets
-    return bucket
-
-
-def hash_vertex_partition(
-    num_vertices: int, num_parts: int, seed: int = 0
-) -> VertexPartition:
-    """Consistent-hash partition: vertex -> part by seeded jump hash.
-
-    The sharded serving layer's router (``repro.dist``): assignment is a
-    pure function of ``(vertex id, seed, num_parts)``, so every process —
-    router, shard workers, coordinator — derives the identical mapping
-    with no coordination, and ties are broken deterministically by the
-    hash itself (no insertion-order or hash-seed dependence).  Empty parts
-    are legal whenever ``num_parts > num_vertices``.
-    """
-    if num_parts <= 0:
-        raise ValueError("num_parts must be positive")
-    if num_vertices < 0:
-        raise ValueError(f"num_vertices must be >= 0, got {num_vertices}")
-    ids = np.arange(num_vertices, dtype=np.uint64)
-    salted = ids ^ _splitmix64(np.full(num_vertices, seed, dtype=np.uint64))
-    assignment = jump_consistent_hash(_splitmix64(salted), num_parts)
-    return VertexPartition(num_parts, assignment)
-
-
-def shard_subgraph(
-    snapshot: GraphSnapshot, partition: VertexPartition, part: int
-) -> GraphSnapshot:
-    """The edges of ``snapshot`` owned by ``part`` (ownership = dst vertex).
-
-    Routing by destination keeps every edge's lifecycle (add, churn,
-    remove) on a single shard, so per-shard net deltas compose into the
-    exact global delta.  The returned snapshot keeps the *global* vertex
-    id space: shard subgraphs from all parts are disjoint and their union
-    is ``snapshot`` itself (the coordinator's merge invariant).
-    """
-    if partition.num_vertices < snapshot.num_vertices:
-        raise ValueError("partition does not cover all snapshot vertices")
-    if not 0 <= part < partition.num_parts:
-        raise ValueError(f"part {part} out of range [0, {partition.num_parts})")
-    src, dst = snapshot.edge_arrays()
-    owned = partition.assignment[dst] == part
-    return GraphSnapshot.from_edge_arrays(
-        snapshot.num_vertices,
-        src[owned],
-        dst[owned],
-        feature_dim=snapshot.feature_dim,
-        timestamp=snapshot.timestamp,
-    )
 
 
 def snapshot_assignment(num_snapshots: int, num_groups: int) -> List[np.ndarray]:

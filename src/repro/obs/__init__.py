@@ -21,17 +21,6 @@ one global ``None`` check — bench counters are bit-identical with
 tracing on or off.
 """
 
-from .distributed import (
-    ShardSpanBatch,
-    TraceContext,
-    aggregate_shard_counters,
-    decode_records,
-    encode_records,
-    latest_shard_metrics,
-    shard_phase_totals,
-    shard_span_lines,
-    write_shard_span_jsonl,
-)
 from .export import (
     chrome_trace_events,
     validate_trace_events,
@@ -84,15 +73,6 @@ __all__ = [
     "build_phase_report",
     "TraceSession",
     "export_all",
-    "TraceContext",
-    "ShardSpanBatch",
-    "encode_records",
-    "decode_records",
-    "shard_span_lines",
-    "write_shard_span_jsonl",
-    "latest_shard_metrics",
-    "aggregate_shard_counters",
-    "shard_phase_totals",
     "collapsed_stacks",
     "write_flamegraph",
     "SLOTarget",

@@ -17,8 +17,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .distributed import COORDINATOR_PID, shard_trace_events
-from .span import SpanRecord
 from .tracer import Tracer
 
 __all__ = [
@@ -30,27 +28,27 @@ __all__ = [
     "validate_trace_file",
 ]
 
-#: exported trace schema: 1 = single-process (one implicit pid track),
-#: 2 = multi-process (coordinator pid 0 + one pid per shard, every pid
-#: carrying a ``process_name`` metadata event)
+#: exported trace schema: 1 = one implicit pid track, 2 = every pid track
+#: carries a ``process_name`` metadata event
 TRACE_SCHEMA_VERSION = 2
+
+#: the ``pid`` every span of the traced process lands on
+_PID = 0
 
 
 def chrome_trace_events(tracer: Tracer) -> Dict[str, object]:
     """The tracer's spans as a Chrome trace-event JSON object.
 
-    The coordinator's own spans land on ``pid`` 0; spans flushed back by
-    shard workers (:mod:`repro.obs.distributed`) land on ``pid`` =
-    shard + 1, each pid with its ``process_name``/``thread_name``
-    metadata — one multi-track timeline for the whole distributed run.
+    Every span lands on ``pid`` 0, one ``tid`` per thread, with
+    ``process_name``/``thread_name`` metadata naming the tracks.
     """
     events: List[Dict[str, object]] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": COORDINATOR_PID,
+            "pid": _PID,
             "tid": 0,
-            "args": {"name": "coordinator"},
+            "args": {"name": tracer.name},
         }
     ]
     for index, name in enumerate(tracer.thread_names()):
@@ -58,7 +56,7 @@ def chrome_trace_events(tracer: Tracer) -> Dict[str, object]:
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": COORDINATOR_PID,
+                "pid": _PID,
                 "tid": index,
                 "args": {"name": name},
             }
@@ -73,15 +71,13 @@ def chrome_trace_events(tracer: Tracer) -> Dict[str, object]:
                 "name": record.name,
                 "cat": "repro",
                 "ph": "X",
-                "pid": COORDINATOR_PID,
+                "pid": _PID,
                 "tid": record.thread,
                 "ts": record.start_us,
                 "dur": record.duration_us,
                 "args": args,
             }
         )
-    shard_events = shard_trace_events(tracer)
-    events.extend(shard_events)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -89,7 +85,6 @@ def chrome_trace_events(tracer: Tracer) -> Dict[str, object]:
             "tracer": tracer.name,
             "schema": TRACE_SCHEMA_VERSION,
             "spans": len(tracer.records),
-            "shard_batches": len(tracer.shard_batches),
         },
     }
 
@@ -153,11 +148,10 @@ def _check_event(event: object, index: int, errors: List[str]) -> None:
 def validate_trace_events(payload: object) -> List[str]:
     """Structural errors in a Chrome trace-event payload (empty = valid).
 
-    Schema 2 (multi-process) adds a per-process rule: when duration
-    events span more than one ``pid`` track, every such track must carry
-    a ``process_name`` metadata event — a merged distributed trace in
-    which a shard's track renders as a bare pid number is a bug, not a
-    cosmetic nit.
+    Schema 2 adds a per-process rule for traces from any source: when
+    duration events span more than one ``pid`` track, every such track
+    must carry a ``process_name`` metadata event, or Perfetto renders
+    the track as a bare pid number.
     """
     errors: List[str] = []
     if not isinstance(payload, dict):

@@ -8,13 +8,8 @@ or speedscope directly and complements the Chrome trace: the trace shows
 *when* each phase ran, the flamegraph shows *where* the time went in
 aggregate.
 
-Multi-process runs fold in too: spans flushed back by shard workers
-(:mod:`repro.obs.distributed`) appear under a synthetic
-``shard<N>`` root frame, so coordinator and worker time share one
-flamegraph with per-shard attribution.
-
-Self times are wall-clock telemetry — byte-stability is the canonical
-span log's job, not this exporter's.
+Self times are wall-clock telemetry: two runs of one workload fold the
+same paths with different values.
 """
 
 from __future__ import annotations
@@ -22,8 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List
 
-from .distributed import decode_records
-from .span import SpanRecord, span_paths
+from .span import span_paths
 
 __all__ = ["collapsed_stacks", "write_flamegraph", "FLAMEGRAPH_FILENAME"]
 
@@ -31,10 +25,9 @@ __all__ = ["collapsed_stacks", "write_flamegraph", "FLAMEGRAPH_FILENAME"]
 FLAMEGRAPH_FILENAME = "flame.folded"
 
 
-def _fold(
-    into: Dict[str, int], records: List[SpanRecord], prefix: str = ""
-) -> None:
-    """Accumulate ``records``' self times into ``into`` by folded path."""
+def collapsed_stacks(tracer) -> List[str]:
+    """Folded-format lines for ``tracer``'s whole run, sorted by path."""
+    records = tracer.records
     paths = span_paths(records)
     child_us: Dict[int, int] = {}
     for record in records:
@@ -42,31 +35,11 @@ def _fold(
             child_us[record.parent_id] = (
                 child_us.get(record.parent_id, 0) + record.duration_us
             )
+    folded: Dict[str, int] = {}
     for record in records:
         self_us = max(record.duration_us - child_us.get(record.span_id, 0), 0)
-        folded = paths[record.span_id].replace("/", ";")
-        if prefix:
-            folded = f"{prefix};{folded}"
-        into[folded] = into.get(folded, 0) + self_us
-
-
-def collapsed_stacks(tracer) -> List[str]:
-    """Folded-format lines for ``tracer``'s whole run, sorted by path.
-
-    Coordinator (in-process) spans fold under their natural roots; each
-    shard worker's spans fold under ``shard<N>``.  Shard batches are
-    grouped per ``(shard, generation)`` before path resolution so a
-    parent flushed in an earlier window batch still anchors its
-    children's paths.
-    """
-    folded: Dict[str, int] = {}
-    _fold(folded, tracer.records)
-    grouped: Dict[tuple, List[SpanRecord]] = {}
-    for batch in tracer.shard_batches:
-        key = (batch.context.shard, batch.context.generation)
-        grouped.setdefault(key, []).extend(decode_records(batch.spans))
-    for (shard, _generation), records in sorted(grouped.items()):
-        _fold(folded, records, prefix=f"shard{shard}")
+        path = paths[record.span_id].replace("/", ";")
+        folded[path] = folded.get(path, 0) + self_us
     return [f"{path} {value}" for path, value in sorted(folded.items())]
 
 

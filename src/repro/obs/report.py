@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .distributed import aggregate_shard_counters, shard_phase_totals
 from .span import SpanRecord, span_paths
 from .tracer import Tracer
 
@@ -83,14 +82,6 @@ class PhaseReport:
 
     root: PhaseNode
     metrics: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
-    #: per-shard stage-time view (multi-process runs): phase name ->
-    #: ``{"per_shard": {shard: us}, "max_us", "mean_us", "imbalance"}``.
-    #: ``imbalance`` is max/mean stage time — the paper's load-balance
-    #: axis; 1.0 = perfectly balanced shards
-    shards: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: global counters folded across every shard's flushed registry,
-    #: each with its per-shard breakdown (``shard<N>`` keys)
-    shard_counters: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def phase(self, path: str) -> Optional[PhaseNode]:
         """Look a phase up by its ``a/b/c`` path (``None`` if absent)."""
@@ -151,40 +142,6 @@ class PhaseReport:
 
         for top in sorted(self.root.children, key=key):
             walk(top, None, 0)
-        if self.shards:
-            lines.append("")
-            lines.append(
-                f"{'shard phase':<28} {'max_ms':>10} {'mean_ms':>10} "
-                f"{'imbalance':>10}  per-shard ms"
-            )
-            for name in sorted(self.shards):
-                view = self.shards[name]
-                per_shard = view["per_shard"]
-                detail = "  ".join(
-                    f"s{shard}={per_shard[shard] / 1e3:.3f}"
-                    for shard in sorted(per_shard)
-                )
-                lines.append(
-                    f"{name:<28} {view['max_us'] / 1e3:>10.3f} "
-                    f"{view['mean_us'] / 1e3:>10.3f} "
-                    f"{view['imbalance']:>10.2f}  {detail}"
-                )
-        if self.shard_counters:
-            lines.append("")
-            lines.append(
-                f"{'shard counter':<28} {'total':>12} {'events':>8}  per-shard"
-            )
-            for name in sorted(self.shard_counters):
-                fold = self.shard_counters[name]
-                detail = "  ".join(
-                    f"{key_}={fold[key_]:.6g}"
-                    for key_ in sorted(fold)
-                    if key_.startswith("shard")
-                )
-                lines.append(
-                    f"{name:<28} {fold['total']:>12.6g} "
-                    f"{fold['events']:>8.0f}  {detail}"
-                )
         gauges = self.metrics.get("gauges", {})
         if gauges:
             lines.append("")
@@ -213,23 +170,13 @@ class PhaseReport:
             {
                 "phases": self.root.as_dict(sort),
                 "metrics": self.metrics,
-                "shards": {k: self.shards[k] for k in sorted(self.shards)},
-                "shard_counters": {
-                    k: self.shard_counters[k]
-                    for k in sorted(self.shard_counters)
-                },
             },
             indent=1,
         )
 
 
 def build_phase_report(tracer: Tracer) -> PhaseReport:
-    """Aggregate a tracer's finished spans into a :class:`PhaseReport`.
-
-    Multi-process runs additionally get the per-shard imbalance view
-    (max/mean stage time per shard-span name) and the cross-shard
-    counter fold with per-shard breakdowns.
-    """
+    """Aggregate a tracer's finished spans into a :class:`PhaseReport`."""
     records = tracer.records
     paths = span_paths(records)
     root = PhaseNode(name="", path="")
@@ -238,20 +185,4 @@ def build_phase_report(tracer: Tracer) -> PhaseReport:
         for part in paths[record.span_id].split("/"):
             node = node.child(part)
         node.absorb(record)
-    shards: Dict[str, Dict[str, object]] = {}
-    for name, per_shard in sorted(shard_phase_totals(tracer).items()):
-        values = [per_shard[s] for s in sorted(per_shard)]
-        mean_us = sum(values) / len(values)
-        max_us = max(values)
-        shards[name] = {
-            "per_shard": {s: per_shard[s] for s in sorted(per_shard)},
-            "max_us": max_us,
-            "mean_us": mean_us,
-            "imbalance": (max_us / mean_us) if mean_us > 0 else 0.0,
-        }
-    return PhaseReport(
-        root=root,
-        metrics=tracer.metrics.as_dict(),
-        shards=shards,
-        shard_counters=aggregate_shard_counters(tracer),
-    )
+    return PhaseReport(root=root, metrics=tracer.metrics.as_dict())

@@ -4,14 +4,10 @@ The CLI's ``repro trace``, the ``--trace`` flags, and the bench runner's
 ``--trace DIR`` all go through :class:`TraceSession`: it installs a fresh
 tracer for the duration of a ``with`` block and, on exit, writes
 
-* ``trace.json`` — Chrome trace-event JSON (open in Perfetto; schema 2
-  carries one pid track per process on multi-process runs),
+* ``trace.json`` — Chrome trace-event JSON (open in Perfetto),
 * ``spans.jsonl`` — the raw span log, one JSON object per line,
 * ``phases.json`` — the aggregated phase-breakdown report,
 * ``flame.folded`` — the collapsed-stack flamegraph log,
-* ``shard_spans.jsonl`` — the canonical merged shard-span log, written
-  only when shard workers flushed batches (multi-process runs);
-  byte-identical across runs of the same workload,
 
 then validates the trace-event file against the schema so a broken
 export fails the run rather than producing an unloadable artifact.
@@ -22,7 +18,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from .distributed import write_shard_span_jsonl
 from .export import validate_trace_file, write_chrome_trace, write_span_jsonl
 from .flamegraph import FLAMEGRAPH_FILENAME, write_flamegraph
 from .report import PhaseReport, build_phase_report
@@ -34,7 +29,6 @@ __all__ = ["TraceSession", "export_all"]
 TRACE_FILENAME = "trace.json"
 SPANS_FILENAME = "spans.jsonl"
 PHASES_FILENAME = "phases.json"
-SHARD_SPANS_FILENAME = "shard_spans.jsonl"
 
 
 def export_all(
@@ -62,10 +56,6 @@ def export_all(
     phases = out_dir / f"{prefix}{PHASES_FILENAME}"
     phases.write_text(report.render_json())
     written["phases"] = phases
-    if tracer.shard_batches:
-        written["shard_spans"] = write_shard_span_jsonl(
-            tracer, out_dir / f"{prefix}{SHARD_SPANS_FILENAME}"
-        )
     errors = validate_trace_file(written["trace"])
     if errors:
         raise ValueError(

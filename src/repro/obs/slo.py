@@ -1,15 +1,15 @@
 """Declarative SLO monitoring over serving statistics.
 
 An :class:`SLOTarget` names one service-level objective — a metric of
-:class:`~repro.serving.stats.ServiceStats` (or its sharded subclass), a
-direction, and a threshold.  :class:`SLOMonitor` evaluates a set of
-targets against a finished run's stats into structured
+:class:`~repro.serving.stats.ServiceStats`, a direction, and a threshold.
+:class:`SLOMonitor` evaluates a set of targets against a finished run's
+stats into structured
 :class:`HealthRecord`\\ s: one run-level record per target, plus one
 record per served window for the latency target, so a report shows not
 just *that* p95 latency breached but *which* windows breached it.
 
 The monitor reads only the telemetry layer (wall-clock latencies,
-shed/restart counters, overlap ratio) — never the deterministic
+shed/resume counters, overlap ratio) — never the deterministic
 simulation results — so attaching it can never perturb parity.  Exit
 semantics mirror ``repro lint``: healthy -> 0, any violated target -> 1
 (``repro slo`` and ``--slo-json`` on serve/chaos).
@@ -103,9 +103,8 @@ def default_targets(
       latency at or under ``p95_latency_s`` seconds;
     * ``shed_rate`` — fraction of closed windows dropped by load
       shedding at or under ``shed_rate``;
-    * ``restart_budget`` — shard-worker restarts plus durable resumes
-      at or under ``restart_budget`` (0 for single-process,
-      non-durable runs);
+    * ``restart_budget`` — durable resumes at or under
+      ``restart_budget`` (0 for non-durable runs);
     * ``overlap_floor`` — pipeline overlap ratio at or over
       ``overlap_floor`` (0.0 disables the floor: a zero-window run
       legitimately overlaps nothing).
@@ -216,16 +215,11 @@ class SLOMonitor:
     def observe(stats, metric: str) -> float:
         """Read ``metric`` off ``stats`` (property, field, or derived).
 
-        ``restarts`` reads 0 on single-process stats so one target set
-        covers sharded and unsharded runs alike.  Durable resumes count
-        against the same budget: a crash-and-recover cycle is a process
-        restart from the operator's point of view, whether the process
-        that died was a shard worker or the whole service.
+        ``restarts`` reads the durable resume count: a crash-and-recover
+        cycle is a process restart from the operator's point of view.
         """
         if metric == "restarts":
-            return float(
-                getattr(stats, "restarts", 0) + getattr(stats, "resumes", 0)
-            )
+            return float(stats.resumes)
         value = getattr(stats, metric, None)
         if value is None:
             raise KeyError(f"unknown SLO metric {metric!r}")

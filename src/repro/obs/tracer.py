@@ -22,13 +22,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from .metrics import MetricsRegistry
 from .span import NOOP_SPAN, AttrValue, Span, SpanRecord
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .distributed import ShardSpanBatch
 
 __all__ = [
     "Tracer",
@@ -72,10 +69,6 @@ class Tracer:
         self._next_span_id = 1
         self._threads: Dict[int, int] = {}  # thread ident -> stable index
         self._thread_names: List[str] = []  # index -> name at first span
-        # Span batches flushed back by shard worker processes (see
-        # repro.obs.distributed): the coordinator's tracer carries them so
-        # every exporter sees the whole multi-process run.
-        self._shard_batches: List["ShardSpanBatch"] = []
 
     # ------------------------------------------------------------------
     # Span creation
@@ -137,60 +130,11 @@ class Tracer:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def epoch_s(self) -> float:
-        """The tracer's wall-clock zero, in :func:`wall_clock` seconds.
-
-        Span timestamps are microseconds past this epoch.  The clock is
-        ``time.perf_counter`` (CLOCK_MONOTONIC), which is comparable
-        across processes on one host — what lets the coordinator place
-        shard-worker spans on its own timeline (telemetry only)."""
-        return self._epoch
-
-    def current_span_id(self) -> Optional[int]:
-        """The innermost open span's id on the calling thread (or None).
-
-        The trace-context seam: the coordinator reads this inside its
-        ``dist.serve`` span to hand workers the parent span id their
-        flushed spans nest under."""
-        stack = self._stack()
-        return stack[-1][0] if stack else None
-
-    @property
     def records(self) -> List[SpanRecord]:
         """Finished spans, ordered by start time (ties by span id)."""
         with self._lock:
             records = list(self._records)
         return sorted(records, key=lambda r: (r.start_us, r.span_id))
-
-    def drain(self) -> List[SpanRecord]:
-        """Remove and return every finished span, in span-id order.
-
-        The shard-worker flush primitive: the worker drains its local
-        tracer at each window boundary and ships the batch back to the
-        coordinator, so span memory never grows with the run length.
-        Span-id order is creation order — deterministic for the
-        single-threaded worker loop."""
-        with self._lock:
-            records, self._records = self._records, []
-        return sorted(records, key=lambda r: r.span_id)
-
-    # ------------------------------------------------------------------
-    # Shard batches (multi-process runs)
-    # ------------------------------------------------------------------
-    def add_shard_batch(self, batch: "ShardSpanBatch") -> None:
-        """Attach one shard worker's flushed span batch to this tracer."""
-        with self._lock:
-            self._shard_batches.append(batch)
-
-    @property
-    def shard_batches(self) -> List["ShardSpanBatch"]:
-        """Every attached shard batch, in deterministic merge order
-        (shard, then generation, then window)."""
-        with self._lock:
-            batches = list(self._shard_batches)
-        return sorted(
-            batches, key=lambda b: (b.context.shard, b.context.generation, b.window)
-        )
 
     def thread_names(self) -> List[str]:
         """Stable-index -> thread-name mapping (Chrome trace metadata)."""

@@ -22,7 +22,6 @@ from .chaos import (
     ChaosReport,
     ChaosSchedule,
     InjectedFault,
-    ShardKillSchedule,
     run_chaos,
 )
 from .faults import FaultModel, FaultSpecError, parse_fault_spec
@@ -36,7 +35,6 @@ __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
     "ChaosSchedule",
-    "ShardKillSchedule",
     "ChaosReport",
     "InjectedFault",
     "run_chaos",

@@ -20,21 +20,13 @@ Three fault families:
   and splices in malformed :class:`~repro.graphs.continuous.EdgeEvent`\\ s
   (non-finite timestamps, out-of-range vertex ids) that the hardened
   ingest quarantines into its dead-letter queue.
-
-A fourth, sharded-only family lives in :class:`ShardKillSchedule`:
-**real SIGKILLs** of shard worker processes at scheduled windows.
-Unlike the cooperative ``crash_windows`` hook (the worker ``_exit``\\ s
-itself at a clean point), the victim gets no chance to clean up — the
-coordinator must reclaim its orphaned shared-memory segments and
-half-written queue state through the same restart path a production
-OOM kill would exercise.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -50,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving imports us)
 __all__ = [
     "InjectedFault",
     "ChaosSchedule",
-    "ShardKillSchedule",
     "ChaosReport",
     "run_chaos",
 ]
@@ -60,7 +51,6 @@ _CRASH = 1
 _LATENCY = 2
 _POISON = 3
 _POISON_KIND = 4
-_SIGKILL = 5
 
 
 class InjectedFault(RuntimeError):
@@ -161,57 +151,6 @@ class ChaosSchedule:
                 yield poison
 
 
-@dataclass(frozen=True)
-class ShardKillSchedule:
-    """Scheduled real SIGKILLs of shard workers (sharded runs only).
-
-    Each ``(shard, window)`` pair makes the coordinator deliver an
-    uncatchable ``SIGKILL`` to the shard's generation-0 worker right
-    before gathering that window, then restart it through the normal
-    restart path.  The kill sites are part of the schedule — not drawn
-    at run time — so repeated runs kill identically and the resulting
-    :class:`ChaosReport` (restart and sigkill counts included)
-    byte-compares.
-    """
-
-    kills: Tuple[Tuple[int, int], ...] = ()
-
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        shards: int,
-        num_windows: int,
-        kills: int = 1,
-        margin: int = 10,
-    ) -> "ShardKillSchedule":
-        """Draw ``kills`` distinct kill sites from a seeded rng.
-
-        Windows are drawn from ``[0, num_windows - margin)`` — a killed
-        worker must still have windows left to serve, or its death can
-        race the end of the stream and the restart count stops being
-        deterministic.  With too few windows for the margin, no kills
-        are scheduled.
-        """
-        if shards < 1 or kills < 1:
-            return cls()
-        horizon = num_windows - margin
-        if horizon <= 0:
-            return cls()
-        rng = np.random.default_rng((seed, _SIGKILL))
-        sites = [(s, w) for s in range(shards) for w in range(horizon)]
-        take = min(kills, len(sites))
-        picked = rng.choice(len(sites), size=take, replace=False)
-        return cls(kills=tuple(sorted(sites[i] for i in picked)))
-
-    def describe(self) -> str:
-        """Human-readable one-liner (the ``repro chaos serve`` header)."""
-        if not self.kills:
-            return "no kills scheduled"
-        sites = ", ".join(f"shard{s}@w{w}" for s, w in self.kills)
-        return f"SIGKILL {sites}"
-
-
 @dataclass
 class ChaosReport:
     """The *deterministic* outcome of one chaos run.
@@ -228,10 +167,6 @@ class ChaosReport:
     quarantined_events: int = 0
     breaker_trips: int = 0
     breaker_hits: int = 0
-    #: shard-worker restarts (sharded runs; cooperative crashes + kills)
-    restarts: int = 0
-    #: real SIGKILLs delivered by a :class:`ShardKillSchedule`
-    sigkills: int = 0
     #: 1 when the run resumed from a durable checkpoint
     resumes: int = 0
     #: windows restored from the checkpoint on a resumed run
@@ -254,8 +189,6 @@ class ChaosReport:
             "quarantined_events": self.quarantined_events,
             "breaker_trips": self.breaker_trips,
             "breaker_hits": self.breaker_hits,
-            "restarts": self.restarts,
-            "sigkills": self.sigkills,
             "resumes": self.resumes,
             "recovered_windows": self.recovered_windows,
             "plan_decisions": list(self.plan_decisions),
@@ -278,11 +211,6 @@ class ChaosReport:
             f"breaker {self.breaker_trips} trips / "
             f"{self.breaker_hits} short-circuits"
         )
-        if self.restarts or self.sigkills:
-            line += (
-                f", {self.restarts} restarts"
-                f" ({self.sigkills} sigkilled)"
-            )
         if self.resumes:
             line += f", resumed with {self.recovered_windows} recovered"
         return line
@@ -298,10 +226,8 @@ def chaos_report_from(report: "ServingReport") -> ChaosReport:
         quarantined_events=stats.quarantined_events,
         breaker_trips=stats.breaker_trips,
         breaker_hits=stats.plan_breaker_hits,
-        restarts=getattr(stats, "restarts", 0),
-        sigkills=getattr(stats, "sigkills", 0),
-        resumes=getattr(stats, "resumes", 0),
-        recovered_windows=getattr(stats, "recovered_windows", 0),
+        resumes=stats.resumes,
+        recovered_windows=stats.recovered_windows,
         plan_decisions=[r.plan_decision for r in stats.records],
         per_window_cycles=[r.execution_cycles for r in report.results],
         failures=[
@@ -317,8 +243,6 @@ def run_chaos(
     schedule: ChaosSchedule,
     config: Optional["ServiceConfig"] = None,
     model: Optional["DiTileAccelerator"] = None,
-    shards: int = 0,
-    shard_kills: Optional[ShardKillSchedule] = None,
 ) -> "tuple[ServingReport, ChaosReport]":
     """End-to-end chaos run: serve ``stream`` under ``schedule``.
 
@@ -326,14 +250,6 @@ def run_chaos(
     and quarantine enabled), forces the schedule in, and returns both the
     full :class:`~repro.serving.service.ServingReport` and the
     deterministic :class:`ChaosReport` distilled from it.
-
-    ``shards >= 1`` runs the chaos campaign through the sharded
-    multi-process service (:class:`~repro.dist.ShardedService`) instead
-    — worker teardown is guaranteed by its ``try/finally`` shutdown, so
-    a failed run never leaks orphan shard processes.  Poison injection
-    happens before routing and crash/latency decisions are keyed by
-    ``(window, attempt)`` at the coordinator, so the resulting
-    :class:`ChaosReport` is byte-identical for every shard count.
     """
     from dataclasses import replace
 
@@ -351,29 +267,6 @@ def run_chaos(
             "chaos runs need a retry policy; a bare crash would abort the "
             "stream instead of degrading gracefully"
         )
-    if shards >= 1:
-        # Imported lazily: repro.dist pulls in the serving layer, which
-        # imports this module — a top-level import would be circular.
-        from ..dist import ShardedConfig, ShardedService
-
-        sharded = ShardedService(
-            model,
-            ShardedConfig(
-                shards=shards,
-                service=config,
-                sigkill_windows=(
-                    shard_kills.kills if shard_kills is not None else ()
-                ),
-                # SIGKILLed generations need restart headroom on top of
-                # the default budget.
-                max_restarts=2
-                + (len(shard_kills.kills) if shard_kills is not None else 0),
-            ),
-        )
-        report = sharded.serve(stream, spec)
-        return report, chaos_report_from(report)
-    if shard_kills is not None and shard_kills.kills:
-        raise ValueError("shard_kills requires shards >= 1 (worker processes)")
     service = StreamingService(model, config)
     report = service.serve(stream, spec)
     return report, chaos_report_from(report)

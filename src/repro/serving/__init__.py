@@ -43,7 +43,7 @@ from .ingest import (
     WindowedIngestor,
     event_fault,
 )
-from .pipeline import BatchSource, QueueBatchSource, WindowPipeline
+from .pipeline import QueueBatchSource, WindowPipeline
 from .plan_manager import PlanDecision, PlanManager, WindowPlan
 from .service import ServiceConfig, ServingReport, StreamingService, serve_offline
 from .signature import DriftDetector, WindowProfile, WorkloadSignature
@@ -56,7 +56,6 @@ __all__ = [
     "event_fault",
     "Window",
     "WindowedIngestor",
-    "BatchSource",
     "QueueBatchSource",
     "WindowPipeline",
     "PlanDecision",

@@ -99,13 +99,7 @@ def simulate_window(
 
 
 class WindowRunner:
-    """The per-window execution policy: chaos injection, timing, retries.
-
-    Extracted from :class:`~repro.serving.service.StreamingService` so the
-    sharded coordinator (:mod:`repro.dist`) drives the *identical* code
-    path — same chaos keying, same obs spans, same retry accounting —
-    rather than a reimplementation that could drift.
-    """
+    """The per-window execution policy: chaos injection, timing, retries."""
 
     def __init__(
         self,

@@ -54,7 +54,6 @@ __all__ = [
     "RejectedEvent",
     "event_fault",
     "IncrementalWindowBuilder",
-    "ShardedWindowBuilder",
     "WindowedIngestor",
 ]
 
@@ -182,88 +181,6 @@ class IncrementalWindowBuilder:
             added_dst=added // id_space,
             removed_src=removed % id_space,
             removed_dst=removed // id_space,
-        )
-
-
-class ShardedWindowBuilder:
-    """Builds one shard's window sequence from pre-routed, pre-validated events.
-
-    The sharded serving layer (:mod:`repro.dist`) splits ingest in two:
-    the router (coordinator side) validates events and assigns window
-    indices exactly as :class:`WindowedIngestor` does, then each shard
-    worker turns its slice of ``(window_index, event)`` pairs into
-    :class:`Window`\\ s over the shard's *own* subgraph.  Because
-    every event for an edge routes to the shard owning its destination
-    vertex, the per-shard net deltas are disjoint and concatenate to the
-    exact global delta — the coordinator's merge invariant.
-
-    ``start_window`` makes the builder resumable: a restarted worker is
-    seeded with the shard subgraph of the last merged global snapshot and
-    replays only the windows after it.
-    """
-
-    def __init__(
-        self,
-        num_vertices: int,
-        window: float,
-        feature_dim: int = 1,
-        initial: Optional[GraphSnapshot] = None,
-        origin: float = 0.0,
-        start_window: int = 0,
-    ):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        if start_window < 0:
-            raise ValueError(f"start_window must be >= 0, got {start_window}")
-        self.window = window
-        self.origin = origin
-        self.next_index = start_window
-        self.builder = IncrementalWindowBuilder(num_vertices, feature_dim, initial)
-
-    def build(
-        self,
-        routed: Iterable[Tuple[int, EdgeEvent]],
-        end_window: int,
-    ) -> Iterator[Window]:
-        """Yield windows ``next_index .. end_window - 1`` in order.
-
-        ``routed`` must be sorted by window index (the router emits it
-        that way) with every index in ``[next_index, end_window)``.  Gaps
-        — and trailing windows this shard received no events for — are
-        emitted as empty windows, so every shard produces the identical
-        window count regardless of where events landed.
-        """
-        buffer: List[EdgeEvent] = []
-        for index, event in routed:
-            if index < self.next_index:
-                raise ValueError(
-                    f"routed event for window {index} arrived after window "
-                    f"{self.next_index} opened (router must sort by window)"
-                )
-            if index >= end_window:
-                raise ValueError(
-                    f"routed event for window {index} beyond end_window "
-                    f"{end_window}"
-                )
-            while self.next_index < index:
-                yield self._close(buffer)
-                buffer = []
-            buffer.append(event)
-        while self.next_index < end_window:
-            yield self._close(buffer)
-            buffer = []
-
-    def _close(self, buffer: List[EdgeEvent]) -> Window:
-        index = self.next_index
-        snapshot, delta = self.builder.close_window(buffer, timestamp=index)
-        self.next_index += 1
-        return Window(
-            index=index,
-            snapshot=snapshot,
-            delta=delta,
-            num_events=len(buffer),
-            close_time=self.origin + (index + 1) * self.window,
-            closed_at=wall_clock(),
         )
 
 

@@ -1,11 +1,11 @@
 """Pipelined window dispatch: overlap ingest, plan resolution, and execution.
 
-The serialized dispatch discipline (PRs 1 and 7) pulled a batch of
-windows, resolved each window's plan in order, submitted the batch to
-the worker pool, and then **blocked** collecting every future before
-pulling the next batch — so plan resolution for batch ``k+1`` idled
-through exactly the execution time of batch ``k``, and ingest could run
-at most ``queue_capacity`` windows ahead.  PiPAD (PAPERS.md) overlaps
+The serialized dispatch discipline pulled a batch of windows, resolved
+each window's plan in order, submitted the batch to the worker pool, and
+then **blocked** collecting every future before pulling the next batch —
+so plan resolution for batch ``k+1`` idled through exactly the execution
+time of batch ``k``, and ingest could run at most ``queue_capacity``
+windows ahead.  PiPAD (PAPERS.md) overlaps
 snapshot preparation with computation and adds frame-level parallelism
 across independent windows; this module is that restructure for the
 serving layer.
@@ -19,9 +19,9 @@ serving layer.
       │          │ bounded by ``depth`` batches                    ▼
     collect ◀── oldest batch's futures, in order ◀──────── worker pool
 
-* **Fill** pulls the next batch from a :class:`BatchSource` (the ingest
-  queue single-process, the shard merge loop in :mod:`repro.dist`),
-  resolves its plans sequentially, and submits it — repeating until
+* **Fill** pulls the next batch off the ingest queue
+  (:class:`QueueBatchSource`), resolves its plans sequentially, and
+  submits it — repeating until
   ``depth`` batches are in flight or the source has nothing ready.
   With work already in flight the pull is non-blocking, so a slow
   upstream never stalls collection; with nothing in flight it blocks,
@@ -37,8 +37,8 @@ simulated, never *what* is resolved: plans still resolve sequentially
 in window order on the dispatch thread (cache decisions cannot depend
 on pool timing), windows are still priced on their own transition
 graphs (:mod:`repro.serving.executor`), and results are still collected
-in window order.  The parity sweeps in ``tests/test_serving.py`` and
-``tests/test_dist.py`` pin this across depths and shard counts.
+in window order.  The parity sweeps in ``tests/test_serving.py`` pin
+this across depths.
 
 The fill stage also short-circuits workload measurement: a window whose
 delta is empty has — by construction of the incremental ingest path —
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import queue as queue_mod
 from collections import deque
-from typing import Deque, List, NamedTuple, Optional, Protocol
+from typing import Deque, List, NamedTuple, Optional
 
 from ..accel.metrics import SimulationResult
 from ..core.plan import DGNNSpec
@@ -65,30 +65,7 @@ from .plan_manager import PlanManager
 from .signature import WindowProfile
 from .stats import ServiceStats, WindowFailure, WindowRecord, timed_call, wall_clock
 
-__all__ = ["BatchSource", "QueueBatchSource", "WindowPipeline"]
-
-
-class BatchSource(Protocol):
-    """Where a pipeline's windows come from, one ordered batch at a time.
-
-    Implementations: :class:`QueueBatchSource` (the single-process
-    ingest queue) and the shard-merge source inside
-    :class:`~repro.dist.coordinator.ShardedService`.
-    """
-
-    def pull(self, max_windows: int, block: bool) -> Optional[List[Window]]:
-        """The next 1..``max_windows`` windows, in window order.
-
-        ``block=True`` waits until at least one window is available and
-        returns ``None`` only when the stream is exhausted;
-        ``block=False`` returns ``None`` as soon as nothing is ready
-        (the pipeline goes and collects finished work instead).
-        Consecutive calls must yield a gap-free window sequence — the
-        source owns ordering, the pipeline owns overlap.
-        """
-
-    def depth(self) -> int:
-        """Windows buffered upstream right now (telemetry only)."""
+__all__ = ["QueueBatchSource", "WindowPipeline"]
 
 
 class QueueBatchSource:
@@ -98,7 +75,9 @@ class QueueBatchSource:
     (possibly blocking) head pull, then non-blocking drains up to the
     batch bound.  A :class:`BaseException` item re-raises on the
     dispatch thread (the ingest thread's error hand-off) and the
-    sentinel marks exhaustion.
+    sentinel marks exhaustion.  Consecutive pulls yield a gap-free
+    window sequence: the source owns ordering, the pipeline owns
+    overlap.
     """
 
     def __init__(self, window_queue, sentinel: object):
@@ -107,6 +86,13 @@ class QueueBatchSource:
         self._done = False
 
     def pull(self, max_windows: int, block: bool) -> Optional[List[Window]]:
+        """The next 1..``max_windows`` windows, in window order.
+
+        ``block=True`` waits until at least one window is available and
+        returns ``None`` only when the stream is exhausted;
+        ``block=False`` returns ``None`` as soon as nothing is ready
+        (the pipeline goes and collects finished work instead).
+        """
         if self._done:
             return None
         if block:
@@ -133,6 +119,7 @@ class QueueBatchSource:
         return batch or None
 
     def depth(self) -> int:
+        """Windows buffered upstream right now (telemetry only)."""
         return self._queue.qsize()
 
 
@@ -151,18 +138,16 @@ class _InFlight(NamedTuple):
 
 
 class WindowPipeline:
-    """The overlapped fill/collect dispatch loop.
+    """The overlapped fill/collect dispatch loop of
+    :class:`~repro.serving.service.StreamingService`.
 
-    Shared verbatim by :class:`~repro.serving.service.StreamingService`
-    and :class:`~repro.dist.coordinator.ShardedService` — one dispatch
-    discipline, one stall accounting, one parity argument.  Mutates
-    ``stats`` and appends to ``results`` exactly as the serialized loops
-    did; the caller still owns pool/ingest teardown.
+    Mutates ``stats`` and appends to ``results`` exactly as the
+    serialized loop did; the caller still owns pool/ingest teardown.
     """
 
     def __init__(
         self,
-        source: BatchSource,
+        source: QueueBatchSource,
         manager: PlanManager,
         runner: WindowRunner,
         pool: WindowExecutor,
@@ -171,7 +156,6 @@ class WindowPipeline:
         results: List[SimulationResult],
         depth: int = 1,
         max_batch_windows: int = 4,
-        queue_gauge: str = "serve.queue_depth",
         prev: Optional[GraphSnapshot] = None,
         committer=None,
     ):
@@ -186,7 +170,6 @@ class WindowPipeline:
         self._results = results
         self.depth = depth
         self.max_batch_windows = max_batch_windows
-        self._queue_gauge = queue_gauge
         #: predecessor snapshot of the first window — ``None`` on a fresh
         #: run, the checkpointed snapshot on a durable resume (so the
         #: first re-executed window's transition graph matches the
@@ -207,7 +190,7 @@ class WindowPipeline:
 
         On an exception (ingest hand-off, resolve failure, a window
         failure with no retry policy) in-flight futures are abandoned to
-        the caller's pool shutdown — identical to the serialized loops.
+        the caller's pool shutdown — identical to the serialized loop.
         """
         self._stats.pipeline_depth = self.depth
         while True:
@@ -229,13 +212,13 @@ class WindowPipeline:
             batch = self._source.pull(self.max_batch_windows, block)
             if block:
                 # Nothing was executing, so every second here is the
-                # upstream stage (ingest / shard merge) on the critical
-                # path — the stall a deeper pipeline cannot fix.
+                # upstream ingest stage on the critical path — the stall
+                # a deeper pipeline cannot fix.
                 self._stats.prefetch_stall_s += wall_clock() - started
             if batch is None:
                 return
             self._stats.record_queue_depth(upstream)
-            obs_gauge_set(self._queue_gauge, upstream)
+            obs_gauge_set("serve.queue_depth", upstream)
             self._submit(batch)
 
     def _window_profile(self, window: Window) -> WindowProfile:

@@ -87,12 +87,8 @@ class PlanManager:
         capacity: int = 32,
         drift_threshold: float = 0.25,
         breaker: Optional[BreakerConfig] = None,
-        label: Optional[str] = None,
     ):
         self.model = model
-        #: optional owner tag ("coordinator", "shard-3", ...) surfaced on
-        #: resolve spans so multi-manager traces stay attributable
-        self.label = label
         self.detector = DriftDetector(drift_threshold)
         self._cache: LRUCache[WorkloadSignature, PlanEntry] = LRUCache(capacity)
         self.hits = 0
@@ -126,8 +122,6 @@ class PlanManager:
             plan, decision = self._resolve(transition, spec, profile)
             if sp.enabled:
                 sp.set_attr("decision", decision.value)
-                if self.label is not None:
-                    sp.set_attr("manager", self.label)
                 obs_counter_add(f"plan_cache.{decision.value}", 1)
             return plan, decision
 

@@ -331,7 +331,7 @@ class StreamingService:
             # thread before any simulation is scheduled — the pipeline
             # only overlaps *when* batches resolve/execute, so cache
             # behaviour (and results) cannot depend on worker timing.
-            WindowPipeline(  # repro: noqa[MP001] false positive via the BatchSource protocol: only the dist merge source's pull() can fork (shard restart); this queue-backed source never does
+            WindowPipeline(
                 source=QueueBatchSource(window_queue, _SENTINEL),
                 manager=manager,
                 runner=runner,

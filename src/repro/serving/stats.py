@@ -122,7 +122,7 @@ class ServiceStats:
     #: deepest the in-flight batch window actually got during the run
     max_inflight_batches: int = 0
     #: dispatch seconds blocked acquiring the next windows with *nothing*
-    #: in flight — the upstream (ingest / shard merge) stage is behind
+    #: in flight — the upstream ingest stage is behind
     prefetch_stall_s: float = 0.0
     #: dispatch seconds blocked in ``future.result()`` — execution the
     #: pipeline failed to hide behind prefetch/resolve of later windows

@@ -89,25 +89,6 @@ class TestCommands:
         with pytest.raises(KeyError):
             main(["serve", "no-such-dataset"])
 
-    def test_serve_sharded(self, capsys):
-        assert main(
-            ["serve", "--events", "800", "--vertices", "48", "--seed", "7",
-             "--hidden-dim", "16", "--shards", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "windows served" in out
-        assert "distribution" in out
-        assert "2 shards" in out
-
-    def test_serve_nonpositive_shards_is_single_process(self, capsys):
-        assert main(
-            ["serve", "--events", "300", "--vertices", "16",
-             "--hidden-dim", "16", "--shards", "0"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "windows served" in out
-        assert "distribution" not in out
-
     def test_serve_pipeline_depth_flag(self, capsys):
         assert main(
             ["serve", "--events", "600", "--vertices", "32",
@@ -124,11 +105,11 @@ class TestCommands:
         ) == 0
         return out.read_bytes()
 
-    def test_results_json_byte_identical_across_depths_and_shards(
+    def test_results_json_byte_identical_across_depths(
         self, tmp_path, capsys
     ):
         """The CI pipeline-parity gate in miniature: per-window result
-        dumps byte-compare across pipeline depths and shard counts."""
+        dumps byte-compare across pipeline depths and worker counts."""
         reference = self._serve_results(tmp_path, "ref", "--pipeline-depth", "1")
         payload = json.loads(reference)
         windows = payload["windows"]
@@ -140,7 +121,7 @@ class TestCommands:
             tmp_path, "deep", "--pipeline-depth", "4"
         )
         assert reference == self._serve_results(
-            tmp_path, "sharded", "--pipeline-depth", "2", "--shards", "2"
+            tmp_path, "inline", "--pipeline-depth", "2", "--workers", "0"
         )
         capsys.readouterr()
 
@@ -317,7 +298,7 @@ class TestTrace:
         payload = json.loads(out[out.index("{"):])
         names = [c["name"] for c in payload["phases"]["children"]]
         assert names == sorted(names)
-        assert "shards" in payload and "shard_counters" in payload
+        assert set(payload) == {"phases", "metrics"}
 
     def test_trace_text_sort_name_is_stable(self, capsys):
         rows = []
@@ -334,24 +315,20 @@ class TestTrace:
             )
         assert rows[0] == rows[1]
 
-    def test_trace_serve_sharded_exports_merged_trace_and_slo(
-        self, tmp_path, capsys
-    ):
+    def test_trace_serve_exports_trace_and_slo(self, tmp_path, capsys):
         out_dir = tmp_path / "t"
         assert main(
             ["trace", "serve", "--events", "600", "--vertices", "48",
-             "--shards", "2", "--pipeline-depth", "2",
+             "--pipeline-depth", "2",
              "--out", str(out_dir), "--slo-json", str(out_dir / "slo.json")]
         ) == 0
         out = capsys.readouterr().out
         assert "SLO OK" in out
-        assert "shard phase" in out
         payload = json.loads((out_dir / "trace.json").read_text())
         pids = {
             e["pid"] for e in payload["traceEvents"] if e.get("ph") == "X"
         }
-        assert pids == {0, 1, 2}
-        assert (out_dir / "shard_spans.jsonl").exists()
+        assert pids == {0}
         assert (out_dir / "flame.folded").exists()
         assert json.loads((out_dir / "slo.json").read_text())["healthy"]
 
@@ -364,6 +341,13 @@ class TestSLOCommand:
         out = capsys.readouterr().out
         assert "SLO OK" in out
         assert "p95_window_latency" in out
+
+    def test_durable_run_reports_restart_budget(self, tmp_path, capsys):
+        wal = tmp_path / "wal"
+        assert main(["slo", *self.ARGS, "--wal", str(wal)]) == 0
+        out = capsys.readouterr().out
+        rows = [row for row in out.splitlines() if "restart_budget" in row]
+        assert len(rows) == 1 and "[ok ]" in rows[0]
 
     def test_violated_target_exits_one(self, capsys):
         assert main(["slo", *self.ARGS, "--p95-latency", "1e-9"]) == 1
@@ -381,11 +365,6 @@ class TestSLOCommand:
         payload = json.loads(out[out.index("{"):out.rindex("}") + 1])
         assert payload["healthy"] is True
         assert json.loads(out_path.read_text()) == payload
-
-    def test_sharded_run(self, capsys):
-        assert main(["slo", *self.ARGS, "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "restart_budget" in out
 
     def test_serve_slo_json_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "slo.json"

@@ -7,9 +7,7 @@ from repro.graphs.delta import (
     addition_only_schedule,
     apply_delta,
     common_core,
-    merge_deltas,
     snapshot_delta,
-    split_delta,
 )
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.generators import generate_dynamic_graph
@@ -103,65 +101,28 @@ class TestApplyDelta:
         assert grown.timestamp == 4
         assert grown.indptr.dtype == grown.indices.dtype == np.int64
 
-
-class TestSplitMergeRoundtrip:
-    def _random_transition(self, rng, n=40, edges=150):
+    def test_unsorted_delta_with_every_change_twice(self, rng):
+        n, edges = 40, 150
         prev = GraphSnapshot.from_edge_arrays(
             n, rng.integers(0, n, edges), rng.integers(0, n, edges)
         )
         cur = GraphSnapshot.from_edge_arrays(
             n, rng.integers(0, n, edges), rng.integers(0, n, edges)
         )
-        return prev, cur
-
-    def test_split_is_disjoint_by_destination_owner(self, rng):
-        prev, cur = self._random_transition(rng)
         delta = snapshot_delta(prev, cur)
-        assignment = rng.integers(0, 3, prev.num_vertices)
-        parts = split_delta(delta, assignment)
-        assert sum(p.num_changes for p in parts) == delta.num_changes
-        for part, piece in enumerate(parts):
-            assert np.all(assignment[piece.added_dst] == part)
-            assert np.all(assignment[piece.removed_dst] == part)
+        add = rng.permutation(2 * delta.num_added)
+        rem = rng.permutation(2 * delta.num_removed)
 
-    def test_merge_recovers_exact_snapshot_in_any_order(self, rng):
-        prev, cur = self._random_transition(rng)
-        delta = snapshot_delta(prev, cur)
-        assignment = rng.integers(0, 4, prev.num_vertices)
-        parts = split_delta(delta, assignment)
-        for order in (parts, parts[::-1]):
-            merged = merge_deltas(list(order))
-            rebuilt = apply_delta(prev, merged)
-            assert rebuilt.edge_set() == cur.edge_set()
-            np.testing.assert_array_equal(
-                rebuilt.edge_arrays(), apply_delta(prev, delta).edge_arrays()
-            )
+        def twice(column, order):
+            return np.concatenate([column, column])[order]
 
-    def test_merge_in_unsorted_order_with_repeats(self, rng):
-        prev, cur = self._random_transition(rng)
-        assignment = rng.integers(0, 3, prev.num_vertices)
-        parts = split_delta(snapshot_delta(prev, cur), assignment)
-        merged = merge_deltas(parts[::-1] + parts)  # every change twice
-        add = rng.permutation(merged.num_added)
-        rem = rng.permutation(merged.num_removed)
-        shuffled = SnapshotDelta(
-            merged.added_src[add],
-            merged.added_dst[add],
-            merged.removed_src[rem],
-            merged.removed_dst[rem],
+        doubled = SnapshotDelta(
+            twice(delta.added_src, add),
+            twice(delta.added_dst, add),
+            twice(delta.removed_src, rem),
+            twice(delta.removed_dst, rem),
         )
-        assert apply_delta(prev, shuffled) == cur
-
-    def test_merge_of_nothing_is_the_empty_delta(self):
-        merged = merge_deltas([])
-        assert merged.num_changes == 0
-        assert merged.added_src.dtype == np.int64
-
-    def test_split_covers_trailing_empty_parts(self):
-        delta = snapshot_delta(_snap([(0, 1)]), _snap([(0, 1), (1, 2)]))
-        parts = split_delta(delta, np.array([0, 0, 0, 0, 0]))
-        assert len(parts) == 1
-        assert parts[0].num_added == 1
+        assert apply_delta(prev, doubled) == cur
 
 
 class TestCommonCore:

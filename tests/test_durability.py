@@ -2,12 +2,11 @@
 
 The load-bearing assertion mirrors the durability invariant: a run
 crashed at *any* window boundary and resumed produces per-window results
-byte-identical to the uninterrupted run, for any shard count and
-pipeline depth.  Around it: the WAL edge cases (torn tail, mid-log
-corruption, empty segments, rotation), the run lock's stale-owner
-protocol, checkpoint atomicity/retention/fallback, the SIGKILL chaos
-fault class with deterministic restart backoff, the ``repro chaos
-recover`` harness, and the SLO restart-budget integration.
+byte-identical to the uninterrupted run, for any pipeline depth.  Around
+it: the WAL edge cases (torn tail, mid-log corruption, empty segments,
+rotation), the run lock's stale-owner protocol, checkpoint
+atomicity/retention/fallback, the ``repro chaos recover`` harness, and
+the SLO restart-budget integration.
 """
 
 import json
@@ -21,7 +20,6 @@ import pytest
 
 from repro.cli import _window_results_json
 from repro.core.plan import DGNNSpec
-from repro.dist import ShardedConfig, ShardedService
 from repro.durability import (
     Checkpoint,
     CheckpointError,
@@ -38,9 +36,9 @@ from repro.durability import (
 from repro.durability.wal import LockInfo
 from repro.graphs.continuous import EdgeEvent
 from repro.obs.slo import SLOMonitor
-from repro.resilience.chaos import ChaosSchedule, ShardKillSchedule, run_chaos
-from repro.resilience.policies import RetryPolicy
+from repro.resilience.chaos import ChaosSchedule
 from repro.serving import ServiceConfig, StreamingService, synthetic_event_stream
+from repro.serving.stats import ServiceStats
 
 SPEC = DGNNSpec(gcn_dims=(8, 8), rnn_hidden_dim=8)
 WINDOW = 40.0  # 15 windows over the 600-event synthetic stream
@@ -71,10 +69,7 @@ def _events(n, start=0.0, step=1.0):
     ]
 
 
-def _serve(stream, config, shards=0):
-    if shards >= 1:
-        sharded = ShardedConfig(shards=shards, service=config)
-        return ShardedService(config=sharded).serve(stream, SPEC)
+def _serve(stream, config):
     return StreamingService(config=config).serve(stream, SPEC)
 
 
@@ -184,13 +179,25 @@ class TestRunLock:
         proc = multiprocessing.get_context("fork").Process(target=lambda: None)
         proc.start()
         proc.join()
-        dead = LockInfo(pid=proc.pid, session="rdDEAD", shards=2)
-        (tmp_path / "LOCK").write_text(dead.to_json())
+        # An older lock body also records a session id and worker pids.
+        (tmp_path / "LOCK").write_text(
+            json.dumps(
+                {
+                    "max_generations": 2,
+                    "num_windows": 15,
+                    "pid": proc.pid,
+                    "session": "rdDEAD",
+                    "shards": 2,
+                    "workers": [proc.pid],
+                },
+                sort_keys=True,
+            )
+        )
         lock = RunLock(tmp_path / "LOCK")
         stale = lock.acquire(LockInfo(pid=os.getpid()))
-        assert stale is not None
-        assert stale.pid == proc.pid
-        assert stale.session == "rdDEAD"
+        assert stale == LockInfo(pid=proc.pid)
+        owner = json.loads((tmp_path / "LOCK").read_text())
+        assert owner == {"pid": os.getpid()}
         lock.release()
 
     def test_torn_lock_body_counts_as_stale(self, tmp_path):
@@ -503,51 +510,6 @@ class TestDurableServing:
             run.close()
 
 
-class TestShardedDurability:
-    @pytest.mark.parametrize("shards, depth, kill_point", [(2, 1, 4), (2, 4, 11)])
-    def test_sharded_crash_point_parity(
-        self, stream, config, tmp_path, shards, depth, kill_point
-    ):
-        cfg = replace(config, pipeline_depth=depth)
-        reference = _window_results_json(_serve(stream, cfg, shards=shards))
-        crash = replace(
-            cfg,
-            durability=DurabilityConfig(
-                directory=tmp_path, fsync=False, abort_after_commit=kill_point
-            ),
-        )
-        with pytest.raises(SimulatedCrash):
-            _serve(stream, crash, shards=shards)
-        resumed = _serve(
-            stream,
-            replace(
-                cfg,
-                durability=DurabilityConfig(
-                    directory=tmp_path, fsync=False, resume=True
-                ),
-            ),
-            shards=shards,
-        )
-        assert _window_results_json(resumed) == reference
-        assert resumed.stats.resumes == 1
-        assert resumed.stats.recovered_windows == kill_point + 1
-        # Per-shard counters are rebuilt from the checkpointed window
-        # accounting: every shard serves every window, recovered or not.
-        assert all(
-            s.windows == len(resumed.results)
-            for s in resumed.stats.shard_stats
-        )
-
-    def test_sharded_matches_single_process(self, stream, config, tmp_path):
-        durable = replace(
-            config,
-            durability=DurabilityConfig(directory=tmp_path, fsync=False),
-        )
-        sharded = _serve(stream, durable, shards=2)
-        plain = _serve(stream, config)
-        assert _window_results_json(sharded) == _window_results_json(plain)
-
-
 # ---------------------------------------------------------------------------
 # Recovery harness (real SIGKILL)
 # ---------------------------------------------------------------------------
@@ -563,12 +525,11 @@ class TestRecoverHarness:
         assert outcome.identical
         assert outcome.recovered_windows == 8
 
-    def test_sharded_sigkill_sweep_and_determinism(self, stream, config, tmp_path):
+    def test_sigkill_sweep_is_deterministic(self, stream, config, tmp_path):
         first, _ = run_recover_sweep(
             stream,
             SPEC,
             config=config,
-            shards=2,
             kill_points=[5],
             root=str(tmp_path / "a"),
         )
@@ -576,7 +537,6 @@ class TestRecoverHarness:
             stream,
             SPEC,
             config=config,
-            shards=2,
             kill_points=[5],
             root=str(tmp_path / "b"),
         )
@@ -591,95 +551,15 @@ class TestRecoverHarness:
 
 
 # ---------------------------------------------------------------------------
-# SIGKILL chaos fault class + deterministic restart backoff
-# ---------------------------------------------------------------------------
-class TestSigkillChaos:
-    def test_schedule_sampling_is_deterministic_and_bounded(self):
-        a = ShardKillSchedule.sample(seed=11, shards=2, num_windows=15, kills=2)
-        b = ShardKillSchedule.sample(seed=11, shards=2, num_windows=15, kills=2)
-        assert a.kills == b.kills
-        assert len(a.kills) == 2
-        for shard, window in a.kills:
-            assert 0 <= shard < 2
-            assert 0 <= window < 5  # 15 windows - margin 10
-
-    def test_too_few_windows_schedules_nothing(self):
-        empty = ShardKillSchedule.sample(seed=1, shards=2, num_windows=8)
-        assert empty.kills == ()
-
-    def test_sigkilled_worker_restarts_without_leaks(self, stream, config):
-        cfg = ShardedConfig(
-            shards=2,
-            service=config,
-            sigkill_windows=((0, 3),),
-            max_restarts=3,
-            restart_backoff_s=0.001,
-            restart_backoff_cap_s=0.004,
-        )
-        reference = _serve(stream, config, shards=2)
-        killed = ShardedService(config=cfg).serve(stream, SPEC)
-        assert _window_results_json(killed) == _window_results_json(reference)
-        assert killed.stats.sigkills == 1
-        assert killed.stats.restarts == 1
-        assert sum(s.restart_attempts for s in killed.stats.shard_stats) == 1
-        assert killed.stats.as_dict()["sigkills"] == 1
-        assert killed.stats.as_dict()["restart_attempts"] == 1
-
-    def test_chaos_report_carries_sigkills(self, stream, config):
-        schedule = ChaosSchedule(seed=5)
-        kills = ShardKillSchedule(kills=((1, 2),))
-        chaos_cfg = replace(
-            config, retry=RetryPolicy(max_attempts=4, backoff_s=0.0005)
-        )
-        _, first = run_chaos(
-            stream, SPEC, schedule, config=chaos_cfg, shards=2, shard_kills=kills
-        )
-        _, second = run_chaos(
-            stream, SPEC, schedule, config=chaos_cfg, shards=2, shard_kills=kills
-        )
-        assert first.sigkills == 1
-        assert first.restarts >= 1
-        assert json.dumps(first.as_dict(), sort_keys=True) == json.dumps(
-            second.as_dict(), sort_keys=True
-        )
-
-    def test_shard_kills_require_sharded_run(self, stream, config):
-        schedule = ChaosSchedule(seed=5)
-        chaos_cfg = replace(
-            config, retry=RetryPolicy(max_attempts=4, backoff_s=0.0005)
-        )
-        with pytest.raises(ValueError, match="shard"):
-            run_chaos(
-                stream,
-                SPEC,
-                schedule,
-                config=chaos_cfg,
-                shards=0,
-                shard_kills=ShardKillSchedule(kills=((0, 1),)),
-            )
-
-    def test_backoff_config_validation(self, config):
-        with pytest.raises(ValueError):
-            ShardedConfig(shards=2, service=config, restart_backoff_s=-1.0)
-        with pytest.raises(ValueError):
-            ShardedConfig(
-                shards=2,
-                service=config,
-                restart_backoff_s=0.5,
-                restart_backoff_cap_s=0.1,
-            )
-
-
-# ---------------------------------------------------------------------------
 # SLO integration
 # ---------------------------------------------------------------------------
 class TestSloRestartBudget:
     def test_resumes_count_against_restart_budget(self):
-        stats = SimpleNamespace(restarts=2, resumes=1)
-        assert SLOMonitor.observe(stats, "restarts") == 3.0
+        stats = SimpleNamespace(resumes=1)
+        assert SLOMonitor.observe(stats, "restarts") == 1.0
 
     def test_single_process_stats_read_zero(self):
-        assert SLOMonitor.observe(SimpleNamespace(), "restarts") == 0.0
+        assert SLOMonitor.observe(ServiceStats(), "restarts") == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Unit tests for the repro.obs tracing/metrics/export/report stack."""
 
 import json
+import re
 import threading
+from dataclasses import replace
 
 import pytest
 
+from repro.core.plan import DGNNSpec
 from repro.obs import (
     NOOP_SPAN,
     MetricsRegistry,
+    SLOMonitor,
+    SLOTarget,
     Tracer,
     active_tracer,
     build_phase_report,
     chrome_trace_events,
+    collapsed_stacks,
     counter_add,
+    default_targets,
     gauge_set,
     install,
     span,
@@ -22,10 +29,43 @@ from repro.obs import (
     validate_trace_events,
     validate_trace_file,
     write_chrome_trace,
+    write_flamegraph,
     write_span_jsonl,
 )
 from repro.obs.session import TraceSession, export_all
 from repro.obs.span import span_paths
+from repro.serving import (
+    ServiceConfig,
+    StreamingService,
+    serve_offline,
+    synthetic_event_stream,
+)
+from repro.serving.stats import ServiceStats
+
+SPEC = DGNNSpec(gcn_dims=(8, 8), rnn_hidden_dim=8)
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return synthetic_event_stream(num_vertices=64, num_events=1500, seed=3)
+
+
+@pytest.fixture(scope="module")
+def service_config(stream):
+    first, last = stream.time_span
+    return ServiceConfig(window=(last - first) / 10, workers=2)
+
+
+def _traced_serve(stream, config):
+    with TraceSession() as session:
+        report = StreamingService(config=config).serve(stream, SPEC)
+    return session, report
+
+
+@pytest.fixture(scope="module")
+def traced_serve(stream, service_config):
+    """One traced, pipelined serve shared by the read-only assertions."""
+    return _traced_serve(stream, service_config)
 
 
 class TestGlobalSwitch:
@@ -284,3 +324,198 @@ class TestTraceSession:
                 pass
         assert session.report is not None
         assert session.written == {}
+
+
+class TestServeTrace:
+    def test_trace_passes_schema_validation(self, traced_serve):
+        session, _ = traced_serve
+        assert validate_trace_events(chrome_trace_events(session.tracer)) == []
+
+    def test_one_named_pid_track(self, traced_serve):
+        session, _ = traced_serve
+        events = chrome_trace_events(session.tracer)["traceEvents"]
+        assert {e["pid"] for e in events if e["ph"] == "X"} == {0}
+        assert [
+            e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        ] == [session.tracer.name]
+
+    def test_schema_version_is_2(self, traced_serve):
+        session, _ = traced_serve
+        other = chrome_trace_events(session.tracer)["otherData"]
+        assert other["schema"] == 2
+        assert other["spans"] == len(session.tracer.records)
+
+
+class TestParityUnderTracing:
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_traced_results_bit_identical_to_offline(
+        self, stream, service_config, depth, workers
+    ):
+        config = replace(
+            service_config, pipeline_depth=depth, workers=workers
+        )
+        _, traced = _traced_serve(stream, config)
+        untraced = StreamingService(config=config).serve(stream, SPEC)
+        assert traced.results == serve_offline(stream, SPEC, config=config)
+        assert traced.results == untraced.results
+
+
+class TestFlamegraph:
+    def test_collapsed_stack_format(self, traced_serve):
+        session, _ = traced_serve
+        lines = collapsed_stacks(session.tracer)
+        assert lines
+        for line in lines:
+            assert re.fullmatch(r"[^ ]+ \d+", line), line
+        roots = {line.split(";")[0].split(" ")[0] for line in lines}
+        assert "serve" in roots
+
+    def test_write_flamegraph(self, traced_serve, tmp_path):
+        session, _ = traced_serve
+        path = write_flamegraph(session.tracer, tmp_path / "flame.folded")
+        content = path.read_text()
+        assert content.endswith("\n")
+        assert content.splitlines() == collapsed_stacks(session.tracer)
+
+
+class TestSchema2Validation:
+    @staticmethod
+    def _payload(events):
+        return {"traceEvents": events}
+
+    def test_multi_pid_without_process_name_is_an_error(self):
+        events = [
+            {"name": "a", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 1},
+            {"name": "b", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 1},
+        ]
+        errors = validate_trace_events(self._payload(events))
+        assert any("pid 0" in e for e in errors)
+        assert any("pid 1" in e for e in errors)
+
+    def test_multi_pid_with_process_names_is_valid(self):
+        events = [
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": f"p{pid}"},
+            }
+            for pid in (0, 1)
+        ] + [
+            {"name": "a", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 1},
+            {"name": "b", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 1},
+        ]
+        assert validate_trace_events(self._payload(events)) == []
+
+    def test_single_pid_needs_no_process_name(self):
+        events = [
+            {"name": "a", "ph": "X", "pid": 5, "tid": 0, "ts": 0, "dur": 1}
+        ]
+        assert validate_trace_events(self._payload(events)) == []
+
+    def test_metadata_event_name_is_checked(self):
+        events = [
+            {
+                "name": "frobnicate",
+                "ph": "M",
+                "pid": 0,
+                "tid": 0,
+                "args": {"name": "x"},
+            }
+        ]
+        errors = validate_trace_events(self._payload(events))
+        assert any("thread_name or process_name" in e for e in errors)
+
+    def test_metadata_args_name_must_be_string(self):
+        events = [
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": 0,
+                "args": {"name": 7},
+            }
+        ]
+        errors = validate_trace_events(self._payload(events))
+        assert any("args.name" in e for e in errors)
+
+
+class TestSLO:
+    def test_target_ops(self):
+        assert SLOTarget(metric="m", op="max", threshold=1.0).ok(0.5)
+        assert not SLOTarget(metric="m", op="max", threshold=1.0).ok(1.5)
+        assert SLOTarget(metric="m", op="min", threshold=0.5).ok(0.7)
+        assert not SLOTarget(metric="m", op="min", threshold=0.5).ok(0.2)
+
+    def test_invalid_op_rejected(self):
+        with pytest.raises(ValueError):
+            SLOTarget(metric="m", op="between", threshold=1.0)
+
+    def test_unknown_metric_raises(self):
+        monitor = SLOMonitor([SLOTarget(metric="nope", op="max", threshold=1)])
+        with pytest.raises(KeyError):
+            monitor.evaluate(ServiceStats())
+
+    def test_healthy_run(self, traced_serve):
+        _, report = traced_serve
+        slo = SLOMonitor().evaluate(report.stats)
+        assert slo.healthy
+        assert slo.exit_code == 0
+        assert slo.violations == []
+        assert "SLO OK" in slo.render_text()
+
+    def test_violation_flips_exit_code_and_window_records(self, traced_serve):
+        _, report = traced_serve
+        monitor = SLOMonitor(default_targets(p95_latency_s=1e-9))
+        slo = monitor.evaluate(report.stats)
+        assert not slo.healthy
+        assert slo.exit_code == 1
+        assert all(r.window is None for r in slo.violations)
+        breached = [r for r in slo.window_records if not r.ok]
+        assert breached and all(r.window is not None for r in breached)
+        assert "SLO VIOLATED" in slo.render_text()
+        payload = json.loads(slo.render_json())
+        assert payload["healthy"] is False
+        assert payload["windows"]  # per-window breaches are listed
+
+    def test_restart_budget_defaults_for_single_process_stats(self):
+        # The restart budget counts durable resumes; a run that never
+        # resumed uses none of it.
+        slo = SLOMonitor().evaluate(ServiceStats())
+        observed = {r.metric: r.observed for r in slo.run_records}
+        assert observed["restarts"] == 0.0
+
+    def test_report_roundtrip(self, traced_serve, tmp_path):
+        _, report = traced_serve
+        slo = SLOMonitor().evaluate(report.stats)
+        path = slo.write(tmp_path / "slo.json")
+        payload = json.loads(path.read_text())
+        assert payload["healthy"] is True
+        assert {t["metric"] for t in payload["targets"]} == {
+            "p95_latency_s",
+            "shed_rate",
+            "restarts",
+            "overlap_ratio",
+        }
+
+
+class TestEmptyRunStats:
+    """Regression tests: an empty run must report, not divide by zero."""
+
+    def test_summary_on_empty_run(self):
+        stats = ServiceStats()
+        text = stats.summary()
+        assert "windows served     0" in text
+        assert "p95=0.00 ms" in text
+
+    def test_as_dict_on_empty_run_is_all_finite(self):
+        values = ServiceStats().as_dict()
+        for name, value in values.items():
+            assert value == value and abs(value) != float("inf"), name
+        assert values["p95_latency_s"] == 0.0
+        assert values["overlap_ratio"] == 0.0
+        assert values["shed_rate"] == 0.0

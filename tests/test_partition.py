@@ -7,11 +7,8 @@ from repro.graphs.partition import (
     VertexPartition,
     contiguous_vertex_partition,
     edge_cut,
-    hash_vertex_partition,
-    jump_consistent_hash,
     partition_loads,
     round_robin_partition,
-    shard_subgraph,
     snapshot_assignment,
 )
 from repro.graphs.snapshot import GraphSnapshot
@@ -51,90 +48,7 @@ class TestContiguousPartition:
         # Deterministic tie-breaking: vertex i owns part i, the tail
         # parts are empty.
         np.testing.assert_array_equal(partition.assignment, [0, 1])
-        np.testing.assert_array_equal(partition.empty_parts(), [2, 3])
-
-
-class TestEmptyParts:
-    def test_reports_unpopulated_parts(self):
-        partition = VertexPartition(4, np.array([0, 0, 3]))
-        np.testing.assert_array_equal(partition.empty_parts(), [1, 2])
-
-    def test_full_partition_has_none(self):
-        partition = VertexPartition(2, np.array([0, 1]))
-        assert partition.empty_parts().size == 0
-
-
-class TestJumpConsistentHash:
-    def test_deterministic(self):
-        keys = np.arange(1000, dtype=np.uint64)
-        np.testing.assert_array_equal(
-            jump_consistent_hash(keys, 7), jump_consistent_hash(keys, 7)
-        )
-
-    def test_buckets_in_range_and_all_used(self):
-        buckets = jump_consistent_hash(np.arange(2000, dtype=np.uint64), 8)
-        assert buckets.min() >= 0 and buckets.max() < 8
-        assert len(np.unique(buckets)) == 8
-
-    def test_minimal_remap_on_growth(self):
-        # The jump-hash contract: growing k -> k+1 moves keys only into
-        # the *new* bucket; everything else stays put.
-        keys = np.arange(5000, dtype=np.uint64)
-        for k in (1, 2, 4, 7):
-            before = jump_consistent_hash(keys, k)
-            after = jump_consistent_hash(keys, k + 1)
-            moved = before != after
-            assert np.all(after[moved] == k)
-            # And roughly 1/(k+1) of the keys move.
-            assert moved.mean() < 2.5 / (k + 1)
-
-
-class TestHashVertexPartition:
-    def test_deterministic_per_seed(self):
-        a = hash_vertex_partition(500, 4, seed=3)
-        b = hash_vertex_partition(500, 4, seed=3)
-        np.testing.assert_array_equal(a.assignment, b.assignment)
-
-    def test_seed_moves_vertices(self):
-        a = hash_vertex_partition(500, 4, seed=0)
-        b = hash_vertex_partition(500, 4, seed=1)
-        assert np.any(a.assignment != b.assignment)
-
-    def test_reasonably_balanced(self):
-        partition = hash_vertex_partition(4000, 5, seed=0)
-        sizes = partition.sizes()
-        assert sizes.sum() == 4000
-        assert sizes.max() <= 2 * sizes.min()
-
-    def test_more_parts_than_vertices(self):
-        partition = hash_vertex_partition(3, 8, seed=0)
-        assert partition.num_parts == 8
-        assert partition.sizes().sum() == 3
-        assert partition.empty_parts().size >= 5
-
-
-class TestShardSubgraph:
-    def test_shards_are_a_disjoint_cover(self):
-        rng = np.random.default_rng(0)
-        src = rng.integers(0, 30, size=120)
-        dst = rng.integers(0, 30, size=120)
-        snapshot = GraphSnapshot.from_edge_arrays(30, src, dst)
-        partition = hash_vertex_partition(30, 3, seed=1)
-        shards = [shard_subgraph(snapshot, partition, p) for p in range(3)]
-        assert sum(s.num_edges for s in shards) == snapshot.num_edges
-        for part, shard in enumerate(shards):
-            assert shard.num_vertices == snapshot.num_vertices  # global ids
-            _, shard_dst = shard.edge_arrays()
-            assert np.all(partition.assignment[shard_dst] == part)
-
-    def test_rejects_bad_part_and_undersized_partition(self):
-        snapshot = GraphSnapshot.from_edges(4, [(0, 1)])
-        partition = hash_vertex_partition(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            shard_subgraph(snapshot, partition, 2)
-        small = hash_vertex_partition(2, 2, seed=0)
-        with pytest.raises(ValueError):
-            shard_subgraph(snapshot, small, 0)
+        np.testing.assert_array_equal(partition.sizes(), [1, 1, 0, 0])
 
 
 class TestRoundRobinPartition:

@@ -7,10 +7,17 @@ import pytest
 from repro.accel.config import HardwareConfig
 from repro.accel.noc import NoCModel, NoCTraffic
 from repro.accel.simulator import AcceleratorSimulator
+from repro.baselines import (
+    DGNNBoosterAccelerator,
+    MEGAAccelerator,
+    RACEAccelerator,
+    ReaDyAccelerator,
+)
 from repro.core.plan import DGNNSpec
 from repro.ditile import DiTileAccelerator
 from repro.experiments.resilience import fault_sweep
 from repro.graphs.continuous import EdgeEvent
+from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import generate_dynamic_graph
 from repro.resilience import (
     BreakerConfig,
@@ -309,6 +316,35 @@ class TestDegradedSimulator:
             cycles.append(model.simulate(graph, SPEC, faults=faults).execution_cycles)
         assert cycles == sorted(cycles)
 
+    @pytest.mark.parametrize(
+        "accelerator",
+        [
+            DiTileAccelerator,
+            ReaDyAccelerator,
+            DGNNBoosterAccelerator,
+            RACEAccelerator,
+            MEGAAccelerator,
+        ],
+    )
+    def test_baseline_cycles_equal_the_fault_free_run(self, accelerator):
+        # The degraded report's baseline is the clean array's total under
+        # the same composition rule, so it must match a fault-free run
+        # exactly, not approximately.
+        model = accelerator()
+        graph = load_dataset("pubmed", scale=0.02, snapshots=4, seed=3)
+        clean = model.simulate(graph, SPEC).cycles.total
+        for seed, rate in ((0, 0.05), (1, 0.2)):
+            faults = FaultModel.sample(
+                model.hardware,
+                tile_rate=rate,
+                link_rate=rate,
+                relink_rate=rate,
+                seed=seed,
+            )
+            degraded = model.simulate(graph, SPEC, faults=faults).degraded
+            assert degraded is not None
+            assert degraded.baseline_cycles == clean
+
 
 # ---------------------------------------------------------------------------
 # Fault sweep (experiments/resilience.py)
@@ -460,6 +496,27 @@ class TestServingResilience:
         _, second = run_chaos(stream, SPEC, schedule, config=config)
         assert first.to_json() == second.to_json()
         assert first.retries > 0  # the schedule actually injected crashes
+
+    def test_chaos_report_byte_identical_across_pipeline_depths(self):
+        """Fault injection is keyed by (window, attempt) and cannot see
+        dispatch timing, so the deterministic report byte-compares
+        against the serialized (depth-1) path."""
+        stream = synthetic_event_stream(num_vertices=48, num_events=600, seed=5)
+        schedule = ChaosSchedule(
+            seed=11, crash_rate=0.2, latency_rate=0.1,
+            latency_s=0.0002, poison_rate=0.05,
+        )
+        reports = []
+        for depth in (1, 2, 4):
+            config = ServiceConfig(
+                pipeline_depth=depth,
+                retry=RetryPolicy(max_attempts=4, backoff_s=0.0005),
+                breaker=BreakerConfig(),
+                quarantine=True,
+            )
+            _, chaos = run_chaos(stream, SPEC, schedule, config=config)
+            reports.append(chaos.to_json())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_chaos_results_match_the_clean_run_for_served_windows(self):
         # Crashes delay windows but never change what they compute.

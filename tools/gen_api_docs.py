@@ -8,6 +8,7 @@ Run:  python tools/gen_api_docs.py [output_path]
 
 from __future__ import annotations
 
+import enum
 import importlib
 import inspect
 import pkgutil
@@ -37,6 +38,17 @@ def _public_members(module):
             continue  # re-exports documented at their home module
         if inspect.isclass(obj) or inspect.isfunction(obj):
             yield name, obj
+
+
+def _signature(obj) -> str:
+    if inspect.isclass(obj) and issubclass(obj, enum.Enum):
+        # An Enum's call signature comes from its metaclass and changes
+        # between Python versions; its members are what a reader needs.
+        return "{" + ", ".join(obj.__members__) + "}"
+    try:
+        return str(inspect.signature(obj))
+    except (TypeError, ValueError):
+        return "(...)"
 
 
 def _iter_modules():
@@ -75,11 +87,7 @@ def generate() -> str:
         lines.append("")
         for name, obj in members:
             kind = "class" if inspect.isclass(obj) else "function"
-            try:
-                signature = str(inspect.signature(obj))
-            except (TypeError, ValueError):
-                signature = "(...)"
-            lines.append(f"### {kind} `{name}{signature}`")
+            lines.append(f"### {kind} `{name}{_signature(obj)}`")
             lines.append("")
             lines.append(_summary(obj))
             lines.append("")
