@@ -11,9 +11,12 @@ then:
   machinery at the checkpoint watermark;
 * wraps its live event source with :meth:`DurableRun.wrap_stream`,
   which yields the replayed WAL suffix first (no re-logging) and then
-  the live events — each appended to the WAL *before* it is yielded
-  (log-before-ack), with the already-logged prefix of the source
-  skipped by stream position;
+  the live events — each appended to the WAL buffer *before* it is
+  yielded, with the already-logged prefix of the source skipped by
+  stream position;
+* flushes the WAL buffer on the ingest thread before it hands each
+  window to dispatch, so every event of a window is in the log before
+  the window can commit;
 * commits through the :class:`WindowCommitter` the run hands out: at
   every window boundary the WAL is fsynced, and every
   ``checkpoint_interval`` windows a checkpoint is cut atomically.
@@ -31,14 +34,15 @@ yet".
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from ..graphs.continuous import EdgeEvent, window_index
+from ..graphs.continuous import EdgeEvent, EventColumns
 from ..obs import gauge_set as obs_gauge_set
 from ..obs import span as obs_span
-from ..serving.ingest import event_fault
+from ..serving.ingest import classify_events
 from ..serving.stats import wall_clock
 from .checkpoint import Checkpoint, CheckpointStore
 from .config import DurabilityConfig
@@ -235,21 +239,15 @@ class DurableRun:
         """Windows past the watermark already covered by the WAL.
 
         Chaos poisoning logs events before ingest validates them, so the
-        WAL can hold malformed records; like ingest, skip them before they
-        can anchor the origin or reach ``window_index``.
+        WAL can hold malformed records; ingest's own rule
+        (:func:`~repro.serving.ingest.classify_events`) skips them before
+        they can anchor the origin or be assigned a window.
         """
-        if not self.records:
-            return 0
-        origin = self.origin
-        last = -1
-        for _, event in self.records:
-            if event_fault(event, self.num_vertices) is not None:
-                continue
-            if origin is None:
-                origin = event.time
-            index = window_index(event.time, origin, self.window_length)
-            if index > last:
-                last = index
+        columns = EventColumns.from_events([event for _, event in self.records])
+        _, index = classify_events(
+            columns, self.num_vertices, self.origin, self.window_length
+        )
+        last = int(index.max()) if len(index) else -1
         return max(0, last + 1 - self.watermark)
 
     def close(self) -> None:
@@ -277,13 +275,9 @@ class DurableRun:
         tail = self.start_position
         for _, event in self.records:
             yield event
-        position = 0
-        for event in events:
-            if position < tail:
-                position += 1
-                continue
-            self.wal.append(position, event)
-            position += 1
+        append = self.wal.append
+        for position, event in enumerate(itertools.islice(events, tail, None), tail):
+            append(position, event)
             yield event
 
     def note_commit(self, index: int) -> None:

@@ -1,18 +1,21 @@
 """Segmented append-only write-ahead log for the ingest event stream.
 
-Record layout (little-endian), one per logged event::
+Record layout (little-endian, packed), one per logged event::
 
     +----------+----------+---------------------------------------+
     | len u32  | crc u32  | payload: pos u64, time f64,           |
-    |          |          |          src i64, dst i64, kind u8    |
+    |          |          |          src i64, dst i64, kind i8    |
     +----------+----------+---------------------------------------+
 
-``crc`` is the CRC-32 of the payload; ``len`` is the payload length.
-``pos`` is the event's 0-based position in the (post-injection) stream,
-which is what lets recovery rejoin the live stream exactly where the
-log ends.  Malformed (quarantinable) events log like any other — the
-ingest path re-applies its own validation on replay, so replayed runs
-quarantine exactly what the original run quarantined.
+``crc`` is the CRC-32 of the payload; ``len`` is the payload length
+(33, so a record is 41 bytes).  ``kind`` is 0 for an add and 1 for a
+remove.  ``pos`` is the event's 0-based position in the
+(post-injection) stream, which is what lets recovery rejoin the live
+stream exactly where the log ends.  Malformed (quarantinable) events
+log like any other — the ingest path re-applies its own validation on
+replay, so replayed runs quarantine exactly what the original run
+quarantined.  :data:`_RECORD` is the layout as a NumPy dtype; batches
+are encoded and decoded through it.
 
 Segment protocol:
 
@@ -25,9 +28,12 @@ Segment protocol:
   tail segment tolerates a torn or corrupt final record by truncating
   at the last valid record boundary (the crash left it half-written).
 
-The log is append-owned by the ingest thread while ``sync()`` runs on
-the dispatch thread at every window commit, so all file mutation is
-serialized under one lock.
+Threads: :meth:`WriteAheadLog.append` runs once per event on the ingest
+thread and only buffers.  The same thread calls
+:meth:`WriteAheadLog.flush` before it hands a window to dispatch, which
+encodes the buffered batch and writes it; ``sync()`` runs on the
+dispatch thread at every window commit.  File writes and the swap of
+the buffer are serialized under one lock.
 
 :class:`RunLock` serializes ownership of a durability directory: the
 lock file records the owning pid, so a recovering process can detect a
@@ -39,14 +45,15 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..graphs.continuous import EdgeEvent
+import numpy as np
+
+from ..graphs.continuous import EdgeEvent, EventColumns
 
 __all__ = [
     "WalCorruptionError",
@@ -56,10 +63,21 @@ __all__ = [
     "LockInfo",
 ]
 
-_HEADER = struct.Struct("<II")  # payload length, payload crc32
-_PAYLOAD = struct.Struct("<Qdqqb")  # position, time, src, dst, kind
-_KIND_ADD = 0
-_KIND_REMOVE = 1
+#: one WAL record: the header (payload length, payload CRC-32), then the
+#: payload (stream position, time, src, dst, kind)
+_RECORD = np.dtype(
+    [
+        ("length", "<u4"),
+        ("crc", "<u4"),
+        ("position", "<u8"),
+        ("time", "<f8"),
+        ("src", "<i8"),
+        ("dst", "<i8"),
+        ("kind", "i1"),
+    ]
+)
+_HEADER_BYTES = 8
+_PAYLOAD_BYTES = _RECORD.itemsize - _HEADER_BYTES
 
 _SEALED_SUFFIX = ".seg"
 _OPEN_SUFFIX = ".seg.open"
@@ -78,17 +96,28 @@ def _segment_path(directory: Path, seq: int, sealed: bool) -> Path:
     return directory / f"wal-{seq:06d}{suffix}"
 
 
-def _encode(position: int, event: EdgeEvent) -> bytes:
-    kind = _KIND_ADD if event.kind == "add" else _KIND_REMOVE
-    payload = _PAYLOAD.pack(position, event.time, event.src, event.dst, kind)
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+def _payload_crcs(data: bytes, count: int) -> np.ndarray:
+    """CRC-32 of the payload of each of the first ``count`` records."""
+    size = _RECORD.itemsize
+    crcs = [
+        zlib.crc32(data[offset:offset + _PAYLOAD_BYTES])
+        for offset in range(_HEADER_BYTES, count * size, size)
+    ]
+    return np.array(crcs, dtype=np.uint32)
 
 
-def _decode_payload(payload: bytes) -> Tuple[int, EdgeEvent]:
-    position, time, src, dst, kind = _PAYLOAD.unpack(payload)
-    return position, EdgeEvent(
-        time, src, dst, "add" if kind == _KIND_ADD else "remove"
-    )
+def _encode_records(positions: List[int], events: List[EdgeEvent]) -> bytes:
+    """The records of ``events`` logged at stream ``positions``."""
+    columns = EventColumns.from_events(events)
+    records = np.empty(len(events), dtype=_RECORD)
+    records["length"] = _PAYLOAD_BYTES
+    records["position"] = positions
+    records["time"] = columns.times
+    records["src"] = columns.src
+    records["dst"] = columns.dst
+    records["kind"] = columns.remove
+    records["crc"] = _payload_crcs(records.tobytes(), len(records))
+    return records.tobytes()
 
 
 def _scan_segment(data: bytes) -> Tuple[List[Tuple[int, EdgeEvent]], int, bool]:
@@ -96,25 +125,28 @@ def _scan_segment(data: bytes) -> Tuple[List[Tuple[int, EdgeEvent]], int, bool]:
 
     Returns ``(records, valid_bytes, clean)`` where ``valid_bytes`` is
     the offset of the first byte that failed to parse (== ``len(data)``
-    when ``clean``).
+    when ``clean``).  A record fails on a wrong length field or CRC; a
+    trailing partial record fails too.
     """
-    records: List[Tuple[int, EdgeEvent]] = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if offset + _HEADER.size > total:
-            return records, offset, False
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if length != _PAYLOAD.size or end > total:
-            return records, offset, False
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return records, offset, False
-        records.append(_decode_payload(payload))
-        offset = end
-    return records, offset, True
+    size = _RECORD.itemsize
+    count = len(data) // size
+    records = np.frombuffer(data, dtype=_RECORD, count=count)
+    bad = np.flatnonzero(
+        (records["length"] != _PAYLOAD_BYTES)
+        | (records["crc"] != _payload_crcs(data, count))
+    )
+    good = records[: bad[0] if len(bad) else count]
+    events = [
+        EdgeEvent(time, src, dst, "remove" if kind else "add")
+        for time, src, dst, kind in zip(
+            good["time"].tolist(),
+            good["src"].tolist(),
+            good["dst"].tolist(),
+            good["kind"].tolist(),
+        )
+    ]
+    valid = len(good) * size
+    return list(zip(good["position"].tolist(), events)), valid, valid == len(data)
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -141,11 +173,14 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.segment_bytes = segment_bytes
         self.fsync = fsync
-        #: records appended through this instance (not replayed ones)
+        #: records written through this instance (not replayed ones)
         self.records_appended = 0
         #: sync() calls that reached the disk
         self.syncs = 0
         self._lock = threading.Lock()
+        #: appended, not yet written ``(positions, events)``: the two lists
+        #: belong to the appending thread, and flush swaps in new ones
+        self._pending: Tuple[List[int], List[EdgeEvent]] = ([], [])
         self._active = None  # open binary file handle of the tail segment
         self._active_seq = 0
         self._active_bytes = 0
@@ -222,17 +257,46 @@ class WriteAheadLog:
     # Appending
     # ------------------------------------------------------------------
     def append(self, position: int, event: EdgeEvent) -> None:
-        """Log one stream event (buffered; durable after :meth:`sync`)."""
-        blob = _encode(position, event)
+        """Buffer one stream event; :meth:`flush` writes it.
+
+        Called once per event, so it only appends to two lists: no lock,
+        no encoding, no write.  The event is durable after the flush and
+        the next :meth:`sync`.
+        """
+        if self._closed:
+            raise ValueError("append on a closed WriteAheadLog")
+        positions, events = self._pending
+        positions.append(position)
+        events.append(event)
+
+    def flush(self) -> None:
+        """Encode the buffered events and write them to the log.
+
+        Runs on the appending thread.  The records are split across
+        segments exactly where one-record-at-a-time writes would split
+        them: a segment takes records until it reaches ``segment_bytes``.
+        The data reaches the operating system here (a killed process does
+        not lose it) and the disk at the next :meth:`sync`.
+        """
+        size = _RECORD.itemsize
         with self._lock:
-            if self._closed:
-                raise ValueError("append on a closed WriteAheadLog")
+            positions, events = self._pending
+            if not positions:
+                return
+            self._pending = ([], [])
+            blob = _encode_records(positions, events)
             assert self._active is not None
-            self._active.write(blob)
-            self._active_bytes += len(blob)
-            self.records_appended += 1
-            if self._active_bytes >= self.segment_bytes:
-                self._rotate()
+            offset = 0
+            while offset < len(blob):
+                room = -(-(self.segment_bytes - self._active_bytes) // size)
+                piece = blob[offset:offset + max(1, room) * size]
+                self._active.write(piece)
+                self._active_bytes += len(piece)
+                offset += len(piece)
+                if self._active_bytes >= self.segment_bytes:
+                    self._rotate()
+            self._active.flush()
+            self.records_appended += len(positions)
 
     def sync(self) -> None:
         """Flush and fsync the active segment (the commit barrier)."""
@@ -258,13 +322,15 @@ class WriteAheadLog:
         if self.fsync:
             _fsync_dir(self.directory)
         self._active_seq += 1
-        self._active = _segment_path(  # repro: noqa[THR001] _rotate runs only under append's `with self._lock:` (Lock is not reentrant, so the guard cannot be repeated lexically here)
+        self._active = _segment_path(  # repro: noqa[THR001] _rotate runs only under flush's `with self._lock:` (Lock is not reentrant, so the guard cannot be repeated lexically here)
             self.directory, self._active_seq, sealed=False
         ).open("ab")
-        self._active_bytes = 0  # repro: noqa[THR001] same: caller (append) holds self._lock
+        self._active_bytes = 0  # repro: noqa[THR001] same: caller (flush) holds self._lock
 
     def close(self) -> None:
-        """Flush, fsync, and close the active segment (idempotent)."""
+        """Write buffered events, then flush, fsync, and close the active
+        segment (idempotent)."""
+        self.flush()
         with self._lock:
             if self._closed:
                 return

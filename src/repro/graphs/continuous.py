@@ -22,7 +22,13 @@ import numpy as np
 from .dynamic import DynamicGraph
 from .snapshot import GraphSnapshot
 
-__all__ = ["EdgeEvent", "ContinuousDynamicGraph", "window_index"]
+__all__ = [
+    "EdgeEvent",
+    "EventColumns",
+    "ContinuousDynamicGraph",
+    "window_index",
+    "window_indices",
+]
 
 
 def window_index(time: float, origin: float, window: float) -> int:
@@ -39,6 +45,19 @@ def window_index(time: float, origin: float, window: float) -> int:
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     return max(0, math.ceil((time - origin) / window) - 1)
+
+
+def window_indices(times: np.ndarray, origin: float, window: float) -> np.ndarray:
+    """:func:`window_index` of every entry of ``times`` (finite), as int64.
+
+    The same IEEE operations in the same order, so each entry equals the
+    scalar rule's answer exactly, boundary ulps included.
+    """
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window}")
+    index = np.ceil((np.asarray(times, dtype=np.float64) - origin) / window) - 1
+    return np.maximum(index, 0).astype(np.int64)
+
 
 _ADD = "add"
 _REMOVE = "remove"
@@ -58,6 +77,36 @@ class EdgeEvent:
             raise ValueError(f"kind must be 'add' or 'remove', got {self.kind!r}")
         if self.src < 0 or self.dst < 0:
             raise ValueError("vertex ids must be non-negative")
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """A batch of :class:`EdgeEvent`\\ s as parallel NumPy columns."""
+
+    times: np.ndarray  # float64
+    src: np.ndarray  # int64
+    dst: np.ndarray  # int64
+    remove: np.ndarray  # bool: ``kind == "remove"``
+
+    @classmethod
+    def from_events(cls, events: Sequence[EdgeEvent]) -> "EventColumns":
+        """The columns of ``events``, in order (one pass per column)."""
+        count = len(events)
+        return cls(
+            times=np.fromiter((e.time for e in events), np.float64, count),
+            src=np.fromiter((e.src for e in events), np.int64, count),
+            dst=np.fromiter((e.dst for e in events), np.int64, count),
+            remove=np.fromiter((e.kind != _ADD for e in events), bool, count),
+        )
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def take(self, rows: np.ndarray) -> "EventColumns":
+        """The rows selected by ``rows`` (a mask or an index array)."""
+        return EventColumns(
+            self.times[rows], self.src[rows], self.dst[rows], self.remove[rows]
+        )
 
 
 class ContinuousDynamicGraph:

@@ -12,6 +12,11 @@ snapshot's sorted edge keys: searches of O(|delta| log |E|), linear
 copies to splice, and no sort or unique over the full edge set.  The
 snapshot's CSR is the only copy of the edge set ingest keeps.
 
+Per event, ingest only compares the event's time with the open window's
+upper bound and appends the event to a list.  The events that arrived
+while a window was open are validated, checked for lateness and netted
+as NumPy columns when that window closes (:func:`classify_events`).
+
 Streaming realities handled here:
 
 * **Out-of-order events** inside the still-open window are buffered and
@@ -34,12 +39,18 @@ Streaming realities handled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.continuous import ContinuousDynamicGraph, EdgeEvent, window_index
+from ..graphs.continuous import (
+    ContinuousDynamicGraph,
+    EdgeEvent,
+    EventColumns,
+    window_index,
+    window_indices,
+)
 from ..graphs.delta import (
     SnapshotDelta,
     apply_delta,
@@ -53,11 +64,14 @@ __all__ = [
     "Window",
     "RejectedEvent",
     "event_fault",
+    "classify_events",
     "IncrementalWindowBuilder",
     "WindowedIngestor",
 ]
 
-_ADD = "add"
+#: tries at stepping a window's nominal upper edge down past rounding
+#: before the per-event bound falls back to a time known to be inside
+_EDGE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,8 @@ def event_fault(event: EdgeEvent, num_vertices: int) -> Optional[str]:
 
     The single validation rule shared by the strict (raise) and
     quarantine (dead-letter) paths, so both reject exactly the same
-    events for exactly the same reasons.
+    events for exactly the same reasons.  :func:`classify_events` is its
+    columnar form.
     """
     if not math.isfinite(event.time):
         return f"non-finite timestamp {event.time!r}"
@@ -86,6 +101,56 @@ def event_fault(event: EdgeEvent, num_vertices: int) -> Optional[str]:
             f"vertex id outside the fixed vertex space [0, {num_vertices})"
         )
     return None
+
+
+def classify_events(
+    events: EventColumns,
+    num_vertices: int,
+    origin: Optional[float],
+    window: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ingest's validation and window rule over a batch of events.
+
+    Returns ``(faulty, index)``.  ``faulty`` flags exactly the rows
+    :func:`event_fault` rejects; ``index`` holds each valid row's
+    :func:`~repro.graphs.continuous.window_index` (``-1`` on faulty
+    rows).  A ``None`` origin is anchored at the first valid row's time,
+    as ingest anchors it.
+    """
+    times, src, dst = events.times, events.src, events.dst
+    faulty = (
+        ~np.isfinite(times)
+        | (times < 0)
+        | (src < 0)
+        | (src >= num_vertices)
+        | (dst < 0)
+        | (dst >= num_vertices)
+    )
+    valid = np.flatnonzero(~faulty)
+    index = np.full(len(times), -1, dtype=np.int64)
+    if len(valid):
+        if origin is None:
+            origin = float(times[valid[0]])
+        index[valid] = window_indices(times[valid], origin, window)
+    return faulty, index
+
+
+def _columns(events: Sequence[EdgeEvent]) -> EventColumns:
+    """:meth:`EventColumns.from_events`, with ids past int64 capped.
+
+    Such an id is outside every vertex space, and capping keeps it so,
+    so the fault rule flags its event instead of the column overflowing.
+    """
+    try:
+        return EventColumns.from_events(events)
+    except OverflowError:
+        cap = np.iinfo(np.int64).max
+        return EventColumns.from_events(
+            [replace(e, src=min(e.src, cap), dst=min(e.dst, cap)) for e in events]
+        )
+
+
+_NO_EVENTS = EventColumns.from_events([])
 
 
 @dataclass
@@ -132,7 +197,7 @@ class IncrementalWindowBuilder:
         )
 
     def close_window(
-        self, events: List[EdgeEvent], timestamp: int = 0
+        self, events: EventColumns, timestamp: int = 0
     ) -> Tuple[GraphSnapshot, SnapshotDelta]:
         """Apply one window's events and return ``(snapshot, delta)``.
 
@@ -146,7 +211,7 @@ class IncrementalWindowBuilder:
             self.current = apply_delta(self.current, delta, timestamp=timestamp)
         return self.current, delta
 
-    def _net_delta(self, events: List[EdgeEvent]) -> SnapshotDelta:
+    def _net_delta(self, events: EventColumns) -> SnapshotDelta:
         """Each edge's last event, against the current snapshot's edges.
 
         Events are ordered as ``sorted(events)`` orders them, by
@@ -154,23 +219,22 @@ class IncrementalWindowBuilder:
         kind)``, so one lexsort by (edge key, time, kind) puts every
         edge's final event last in its group.
         """
-        count = len(events)
-        times = np.fromiter((e.time for e in events), dtype=np.float64, count=count)
-        src = np.fromiter((e.src for e in events), dtype=np.int64, count=count)
-        dst = np.fromiter((e.dst for e in events), dtype=np.int64, count=count)
-        remove = np.fromiter((e.kind != _ADD for e in events), dtype=bool, count=count)
+        src, dst, remove = events.src, events.dst, events.remove
         space = self.num_vertices
-        outside = np.flatnonzero((src >= space) | (dst >= space))
+        outside = np.flatnonzero(
+            (src < 0) | (src >= space) | (dst < 0) | (dst >= space)
+        )
         if len(outside):
+            row = outside[0]
             raise ValueError(
-                f"event {events[outside[0]]} outside the fixed vertex space "
-                f"[0, {space})"
+                f"edge ({src[row]}, {dst[row]}) at time {events.times[row]} "
+                f"outside the fixed vertex space [0, {space})"
             )
         id_space = max(space, 1)
         keys = dst * id_space + src
-        order = np.lexsort((remove, times, keys))
+        order = np.lexsort((remove, events.times, keys))
         keys, remove = keys[order], remove[order]
-        last = np.ones(count, dtype=bool)
+        last = np.ones(len(keys), dtype=bool)
         last[:-1] = keys[1:] != keys[:-1]
         keys, remove = keys[last], remove[last]
         live = sorted_isin(keys, snapshot_edge_keys(self.current, id_space))
@@ -254,17 +318,85 @@ class WindowedIngestor:
             start_window=start_window,
         )
 
-    def _close(self, index: int, buffer: List[EdgeEvent]) -> Window:
+    def _close(self, index: int, events: EventColumns) -> Window:
         anchor = self.origin if self.origin is not None else 0.0
-        snapshot, delta = self.builder.close_window(buffer, timestamp=index)
+        snapshot, delta = self.builder.close_window(events, timestamp=index)
         return Window(
             index=index,
             snapshot=snapshot,
             delta=delta,
-            num_events=len(buffer),
+            num_events=len(events),
             close_time=anchor + (index + 1) * self.window,
             closed_at=wall_clock(),
         )
+
+    def _upper_bound(self, index: int, floor: float) -> float:
+        """A time no later than the last one window ``index`` holds.
+
+        ``floor`` is a time known to be in the window (``-inf`` before the
+        origin is anchored), and the bound is never below it.  Every time
+        at or below the bound falls in window ``index`` or an earlier one,
+        because :func:`window_index` never decreases with time.  The bound
+        starts at the nominal edge ``origin + (index + 1) * window`` and
+        steps down an ulp at a time while rounding puts the edge itself in
+        the next window.
+        """
+        origin, width = self.origin, self.window
+        if origin is None:
+            return floor
+        edge = origin + (index + 1) * width
+        for _ in range(_EDGE_STEPS):
+            if not (math.isfinite(edge) and edge > floor):
+                break
+            if window_index(edge, origin, width) <= index:
+                return edge
+            edge = math.nextafter(edge, -math.inf)
+        return floor
+
+    def _close_events(
+        self, index: int, events: List[EdgeEvent], start: int
+    ) -> Optional[Window]:
+        """Validate, window and apply the events that arrived while window
+        ``index`` was open; ``start`` is the stream position of ``events[0]``.
+
+        Returns the closed window, or ``None`` for a window below the
+        resume watermark.  The first malformed event (unless quarantined)
+        or, in strict mode, the first late event raises here.
+        """
+        columns = _columns(events)
+        space = self.builder.num_vertices
+        faulty, rows_window = classify_events(
+            columns, space, self.origin, self.window
+        )
+        # The bound kept every valid row at or below window ``index``;
+        # the rows below it belong to windows that already closed.
+        late = ~faulty & (rows_window < index)
+        offending = np.flatnonzero(
+            (faulty & (not self.quarantine)) | (late & self.strict_time_order)
+        )
+        if len(offending):
+            row = offending[0]
+            event = events[row]
+            if faulty[row]:
+                raise ValueError(
+                    f"malformed event {event}: {event_fault(event, space)}"
+                )
+            raise ValueError(
+                f"late event {event}: window {rows_window[row]} already closed "
+                f"(serving window {index})"
+            )
+        self.total_events += len(events)
+        for row in np.flatnonzero(faulty):
+            event = events[row]
+            self.rejected.append(
+                RejectedEvent(event, event_fault(event, space), start + int(row))
+            )
+        self.late_events += int(np.count_nonzero(late))
+        keep = ~(faulty | late)
+        if index < self.start_window:
+            self.replayed_events += int(np.count_nonzero(keep))
+            return None
+        return self._close(index, columns.take(keep))
 
     def windows(self, events: Iterable[EdgeEvent]) -> Iterator[Window]:
         """Consume ``events`` and yield windows as they close.
@@ -274,6 +406,14 @@ class WindowedIngestor:
         initial graph, matching
         :meth:`ContinuousDynamicGraph.discretize_windows`.
 
+        An event at or below the open window's upper bound
+        (:meth:`_upper_bound`) is appended to the window's list and
+        nothing else.  Every other event (later, or with a NaN time) goes
+        through :func:`event_fault` and :func:`window_index` on its own:
+        it may anchor the origin, open a later window (closing the open
+        one and emitting any empty gap windows) or raise the bound.  The
+        listed events are classified as columns when their window closes.
+
         With ``start_window > 0`` (durable resume) the window clock still
         runs from 0 — validation, origin anchoring, and the late-event
         rule see exactly what the uninterrupted run saw — but windows
@@ -282,42 +422,37 @@ class WindowedIngestor:
         because the builder's initial snapshot already contains them.
         """
         current = 0
-        buffer: List[EdgeEvent] = []
-        for position, event in enumerate(events):
-            self.total_events += 1
-            fault = event_fault(event, self.builder.num_vertices)
-            if fault is not None:
-                # Validate before the event can anchor the origin or hit
-                # ``window_index`` (a NaN timestamp breaks both).
-                if not self.quarantine:
-                    raise ValueError(f"malformed event {event}: {fault}")
-                self.rejected.append(RejectedEvent(event, fault, position))
+        start = 0  # stream position of pending[0]
+        pending: List[EdgeEvent] = []
+        append = pending.append
+        bound = self._upper_bound(0, -math.inf)
+        for event in events:
+            if event.time <= bound:
+                append(event)
                 continue
-            if self.origin is None:
-                self.origin = event.time
-            index = window_index(event.time, self.origin, self.window)
-            if index < current:
-                if self.strict_time_order:
-                    raise ValueError(
-                        f"late event {event}: window {index} already closed "
-                        f"(serving window {current})"
-                    )
-                self.late_events += 1
-                continue
-            if index > current:
-                if current >= self.start_window:
-                    yield self._close(current, buffer)
-                else:
-                    self.replayed_events += len(buffer)
-                buffer = []
-                for gap in range(max(current + 1, self.start_window), index):
-                    yield self._close(gap, [])
-                current = index
-            buffer.append(event)
+            # Validate before the event can anchor the origin or hit
+            # ``window_index`` (a NaN timestamp breaks both); a malformed
+            # event waits in the list for the close to reject it.
+            if event_fault(event, self.builder.num_vertices) is None:
+                if self.origin is None:
+                    self.origin = event.time
+                index = window_index(event.time, self.origin, self.window)
+                if index > current:
+                    closed = self._close_events(current, pending, start)
+                    if closed is not None:
+                        yield closed
+                    start += len(pending)
+                    pending = []
+                    append = pending.append
+                    for gap in range(max(current + 1, self.start_window), index):
+                        yield self._close(gap, _NO_EVENTS)
+                    current = index
+                if index == current:
+                    bound = self._upper_bound(current, event.time)
+            append(event)
         # Always flush: an empty stream still serves one (initial) window.
         # On a resume whose stream ends inside the recovered prefix the
-        # flush would re-serve a committed window — suppress it instead.
-        if current >= self.start_window:
-            yield self._close(current, buffer)
-        else:
-            self.replayed_events += len(buffer)
+        # flush would re-serve a committed window — it is suppressed.
+        closed = self._close_events(current, pending, start)
+        if closed is not None:
+            yield closed

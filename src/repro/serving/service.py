@@ -260,6 +260,10 @@ class StreamingService:
         def _ingest() -> None:
             try:
                 for window in ingestor.windows(events):
+                    if dur is not None:
+                        # Every event of the window reaches the log before
+                        # dispatch can commit it (the commit only syncs).
+                        dur.wal.flush()
                     # The span covers the queue hand-off, so its duration
                     # shows backpressure stalls (a full queue) directly.
                     with obs_span("ingest", window=window.index) as sp:

@@ -50,6 +50,11 @@ def synthetic_event_stream(
     rng = np.random.default_rng(seed)
     weights = np.arange(1, num_vertices + 1, dtype=np.float64) ** -1.0
     weights /= weights.sum()
+    # The CDF ``rng.choice(n, p=weights)`` builds (and re-validates) on
+    # every call; searching it with one ``rng.random()`` makes the same
+    # draw from the same generator state.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
     times = np.sort(rng.uniform(0.0, float(num_events), size=num_events))
     if burst_period > 0:
         # Fold each time toward the start of its burst period, packing
@@ -70,7 +75,7 @@ def synthetic_event_stream(
             events.append(EdgeEvent(float(t), src, dst, "remove"))
             continue
         src = int(rng.integers(num_vertices))
-        dst = int(rng.choice(num_vertices, p=weights))
+        dst = int(cdf.searchsorted(rng.random(), side="right"))
         if src == dst:
             dst = (dst + 1) % num_vertices
         if (src, dst) not in live_set:

@@ -9,10 +9,14 @@ atomicity/retention/fallback, the ``repro chaos recover`` harness, and
 the SLO restart-budget integration.
 """
 
+import itertools
 import json
 import multiprocessing
 import os
 import signal
+import struct
+import sys
+import zlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -33,11 +37,16 @@ from repro.durability import (
     WriteAheadLog,
     run_recover_sweep,
 )
-from repro.durability.wal import LockInfo
-from repro.graphs.continuous import EdgeEvent
+from repro.durability.wal import LockInfo, _scan_segment
+from repro.graphs.continuous import EdgeEvent, window_index
 from repro.obs.slo import SLOMonitor
 from repro.resilience.chaos import ChaosSchedule
-from repro.serving import ServiceConfig, StreamingService, synthetic_event_stream
+from repro.serving import (
+    PlanManager,
+    ServiceConfig,
+    StreamingService,
+    synthetic_event_stream,
+)
 from repro.serving.stats import ServiceStats
 
 SPEC = DGNNSpec(gcn_dims=(8, 8), rnn_hidden_dim=8)
@@ -71,6 +80,24 @@ def _events(n, start=0.0, step=1.0):
 
 def _serve(stream, config):
     return StreamingService(config=config).serve(stream, SPEC)
+
+
+def _record_at_a_time_segments(records, segment_bytes):
+    """The segment files one-record-at-a-time ``struct`` writes produce:
+    each record is written, then the segment is sealed once it holds
+    ``segment_bytes`` or more."""
+    header, payload = struct.Struct("<II"), struct.Struct("<Qdqqb")
+    sealed, active = [], b""
+    for position, event in records:
+        kind = 0 if event.kind == "add" else 1
+        body = payload.pack(position, event.time, event.src, event.dst, kind)
+        active += header.pack(len(body), zlib.crc32(body)) + body
+        if len(active) >= segment_bytes:
+            sealed.append(active)
+            active = b""
+    files = {f"wal-{seq:06d}.seg": data for seq, data in enumerate(sealed)}
+    files[f"wal-{len(sealed):06d}.seg.open"] = active
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +181,55 @@ class TestWriteAheadLog:
         wal.close()
         with pytest.raises(ValueError, match="closed"):
             wal.append(0, _events(1)[0])
+
+    @pytest.mark.parametrize("segment_bytes", [64, 41 * 3, 1000, 256 * 1024])
+    def test_flush_matches_record_at_a_time_encoding(self, tmp_path, segment_bytes):
+        events = [
+            EdgeEvent(0.5 * i, i % 5, (3 * i) % 7, "remove" if i % 4 == 3 else "add")
+            for i in range(60)
+        ] + [EdgeEvent(float("nan"), 0, 0), EdgeEvent(1e300, 2**62, 9, "remove")]
+        records = list(enumerate(events))
+        wal, _ = WriteAheadLog.open(tmp_path, segment_bytes=segment_bytes, fsync=False)
+        pending = iter(records)
+        for batch in (1, 7, 0, 3, 20, 31):  # appends between flushes
+            for position, event in itertools.islice(pending, batch):
+                wal.append(position, event)
+            wal.flush()
+        wal.close()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert files == _record_at_a_time_segments(records, segment_bytes)
+
+    def test_torn_tail_inside_flushed_batch_is_truncated(self, tmp_path):
+        wal, _ = WriteAheadLog.open(tmp_path, fsync=False)
+        for pos, event in enumerate(_events(10)):
+            wal.append(pos, event)
+        wal.flush()
+        tail = next(tmp_path.glob("wal-*.seg.open"))
+        # flush() hands the batch to the OS; no sync or close is needed.
+        data = tail.read_bytes()
+        assert len(data) == 10 * 41
+        wal.close()
+        tail.write_bytes(data[: 6 * 41 + 20])  # tear record 6 mid-payload
+        wal, replayed = WriteAheadLog.open(tmp_path, fsync=False)
+        assert [p for p, _ in replayed] == list(range(6))
+        assert tail.stat().st_size == 6 * 41
+        wal.append(6, _events(7)[6])
+        wal.close()
+        _, again = WriteAheadLog.open(tmp_path, fsync=False)
+        assert [p for p, _ in again] == list(range(7))
+
+    def test_corrupt_record_inside_flushed_batch_drops_the_rest(self, tmp_path):
+        wal, _ = WriteAheadLog.open(tmp_path, fsync=False)
+        for pos, event in enumerate(_events(10)):
+            wal.append(pos, event)
+        wal.close()
+        tail = next(tmp_path.glob("wal-*.seg.open"))
+        data = bytearray(tail.read_bytes())
+        data[4 * 41 + 20] ^= 0xFF  # a payload byte of record 4
+        tail.write_bytes(bytes(data))
+        _, replayed = WriteAheadLog.open(tmp_path, fsync=False)
+        assert [p for p, _ in replayed] == [0, 1, 2, 3]
+        assert tail.stat().st_size == 4 * 41
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +356,58 @@ class TestDurableServing:
         assert report.stats.wal_records == stream.num_events
         assert report.stats.checkpoints == len(report.results)
         assert report.stats.resumes == 0
+
+    def test_window_events_are_logged_before_dispatch(
+        self, stream, config, tmp_path, monkeypatch
+    ):
+        # Appends only buffer; the ingest thread writes the buffer before it
+        # hands a window over, so when dispatch resolves window k the log
+        # file already holds every event of windows 0..k.
+        origin = stream.events[0].time
+        window_of = [window_index(e.time, origin, WINDOW) for e in stream.events]
+        tail = DurabilityConfig(directory=tmp_path).wal_dir / "wal-000000.seg.open"
+        resolve = PlanManager.resolve
+        missing = {}
+
+        def checked(self, transition, spec, profile=None):
+            index = int(transition.name.rpartition("-")[2])
+            records, _, _ = _scan_segment(tail.read_bytes())
+            logged = {position for position, _ in records}
+            missing[index] = [
+                p for p, w in enumerate(window_of) if w <= index and p not in logged
+            ]
+            return resolve(self, transition, spec, profile=profile)
+
+        monkeypatch.setattr(PlanManager, "resolve", checked)
+        durable = replace(
+            config, durability=DurabilityConfig(directory=tmp_path, fsync=False)
+        )
+        report = _serve(stream, durable)
+        assert sorted(missing) == list(range(len(report.results)))
+        assert all(not lost for lost in missing.values())
+
+    def test_log_survives_thread_switches_at_every_bytecode(
+        self, stream, config, reference_json, tmp_path
+    ):
+        # Appends and flushes (ingest thread) race commit syncs (dispatch
+        # thread) and four workers on a small segment size, so rotations
+        # interleave with syncs; the log must hold each event once, in order.
+        durable = replace(
+            config,
+            workers=4,
+            durability=DurabilityConfig(
+                directory=tmp_path, fsync=False, segment_bytes=1024
+            ),
+        )
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = _serve(stream, durable)
+        finally:
+            sys.setswitchinterval(switch)
+        assert _window_results_json(report) == reference_json
+        _, records = WriteAheadLog.open(durable.durability.wal_dir, fsync=False)
+        assert records == list(enumerate(stream.events))
 
     def test_reusing_directory_without_resume_is_refused(
         self, stream, config, tmp_path

@@ -1,5 +1,6 @@
 """Unit and integration tests for the streaming-inference service layer."""
 
+import hashlib
 import io
 import pickle
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.core.plan import DGNNSpec
 from repro.ditile import DiTileAccelerator
-from repro.graphs.continuous import ContinuousDynamicGraph, EdgeEvent
+from repro.graphs.continuous import ContinuousDynamicGraph, EdgeEvent, EventColumns
 from repro.graphs.delta import apply_delta, snapshot_delta
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.snapshot import GraphSnapshot
@@ -197,7 +198,7 @@ class TestIncrementalWindowBuilder:
     def test_rejects_out_of_space_events(self):
         builder = IncrementalWindowBuilder(4)
         with pytest.raises(ValueError):
-            builder.close_window([EdgeEvent(0.0, 0, 9)])
+            builder.close_window(EventColumns.from_events([EdgeEvent(0.0, 0, 9)]))
 
     def test_rejects_oversized_initial(self):
         with pytest.raises(ValueError):
@@ -206,12 +207,14 @@ class TestIncrementalWindowBuilder:
     def test_delta_nets_churn(self):
         builder = IncrementalWindowBuilder(4, initial=GraphSnapshot.from_edges(4, [(0, 1)]))
         snapshot, delta = builder.close_window(
-            [
-                EdgeEvent(0.0, 0, 1),  # duplicate add of a live edge
-                EdgeEvent(1.0, 1, 2),
-                EdgeEvent(2.0, 1, 2, kind="remove"),
-                EdgeEvent(3.0, 2, 3),
-            ]
+            EventColumns.from_events(
+                [
+                    EdgeEvent(0.0, 0, 1),  # duplicate add of a live edge
+                    EdgeEvent(1.0, 1, 2),
+                    EdgeEvent(2.0, 1, 2, kind="remove"),
+                    EdgeEvent(3.0, 2, 3),
+                ]
+            )
         )
         assert snapshot.edge_set() == {(0, 1), (2, 3)}
         assert delta.num_added == 1 and delta.num_removed == 0
@@ -263,6 +266,37 @@ class TestWindowedIngestor:
         windows = list(ingestor.windows([]))
         assert len(windows) == 1
         assert windows[0].snapshot.edge_set() == {(2, 3)}
+
+
+class TestSyntheticEventStream:
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (
+                dict(num_vertices=64, num_events=3000, seed=7),
+                "ab5f7853f4e09d2c00efd9299c8f9acf74f818fb99f055bd97669ef2f306eb3b",
+            ),
+            (
+                dict(
+                    num_vertices=128,
+                    num_events=4000,
+                    seed=11,
+                    remove_fraction=0.3,
+                    burst_period=40.0,
+                ),
+                "41f02953c7c928a936bfd3b4b7f73a075d861810d17ed4398946bbabfd136239",
+            ),
+        ],
+    )
+    def test_stream_is_pinned(self, kwargs, digest):
+        # Digests of every (time, src, dst, kind), pinned when destinations
+        # were drawn with rng.choice(n, p=weights): the precomputed-CDF draw
+        # must give the same stream.
+        stream = synthetic_event_stream(**kwargs)
+        h = hashlib.sha256()
+        for e in stream.events:
+            h.update(repr((e.time, e.src, e.dst, e.kind)).encode())
+        assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
