@@ -39,8 +39,9 @@ def test_serving_throughput():
     # regression still leaves the fresh measurements on disk.
     record.save(OUTPUT)
     case = record.case(CASE)
+    events_per_sec = case.counters["events"] / case.timings["elapsed_s"]
     print(
-        f"\nserving: {case.timings['events_per_sec']:,.0f} events/s, "
+        f"\nserving: {events_per_sec:,.0f} events/s, "
         f"p50={1e3 * case.timings['p50_latency_s']:.2f} ms, "
         f"p95={1e3 * case.timings['p95_latency_s']:.2f} ms -> {OUTPUT.name}"
     )
@@ -52,7 +53,7 @@ def test_serving_throughput():
     assert case.counters["windows"] == 48
     assert case.counters["late_events"] == 0
     assert case.counters["total_cycles"] > 0
-    assert case.timings["events_per_sec"] > 1_000  # generous floor: the
+    assert events_per_sec > 1_000  # generous floor: the
     # analytic simulator prices a window in milliseconds, so tens of
     # thousands of events/sec is typical even on slow CI machines
     assert 0 < case.timings["p50_latency_s"] <= case.timings["p95_latency_s"]

@@ -7,9 +7,8 @@ codebase cannot express in the type system:
   the property the offline/online parity guarantee rests on;
 * unit consistency of the suffix-annotated cost models (UNIT001-UNIT003);
 * thread-confinement of mutable state in the serving layer (THR001);
-* process safety of code that forks (MP001-MP005) — fork ordering,
-  shared-memory lifecycle, queue discipline, and the cross-process
-  message protocol.
+* process safety of code that forks (MP001, MP003) — fork ordering and
+  queue discipline.
 
 The project rules run on a shared analysis engine: an AST→CFG builder
 (:mod:`.cfg`), a forward worklist dataflow solver (:mod:`.dataflow`), and

@@ -25,13 +25,8 @@ depend on:
 Exception edges are marked via :attr:`CFG.exc_edges`; the solver carries
 the join of the raising statement's pre- and post-state over them (its
 effect may or may not have happened).  Statements outside any
-``try``/``with`` body get no implicit exception edge — the suite flags
-unprotected cleanup via the resource rules, not by assuming every line
-can throw.
-
-Exits are classified (:attr:`CFG.exit_kinds`) so resource rules can
-distinguish a value-bearing ``return`` (a possible ownership handoff)
-from falling off the end of the function.
+``try``/``with`` body get no implicit exception edge: the CFG does not
+assume every line can throw.
 """
 
 from __future__ import annotations
@@ -43,12 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 __all__ = ["CFGNode", "CFG", "build_cfg"]
 
 FunctionLike = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Module]
-
-#: exit-kind labels (values of :attr:`CFG.exit_kinds`)
-RETURN_VALUE = "return_value"
-RETURN_NONE = "return_none"
-IMPLICIT = "implicit"
-AMBIGUOUS = "ambiguous"
 
 
 @dataclass
@@ -78,8 +67,6 @@ class CFG:
     #: pre-state on these, since the raising statement's effect may not
     #: have happened)
     exc_edges: Set[Tuple[int, int]] = field(default_factory=set)
-    #: classification of each predecessor of :attr:`exit`
-    exit_kinds: Dict[int, str] = field(default_factory=dict)
 
     def add_node(self, stmt: Optional[ast.stmt], kind: str = "stmt") -> int:
         node = CFGNode(index=len(self.nodes), stmt=stmt, kind=kind)
@@ -135,33 +122,6 @@ class CFG:
             return []  # opaque nested definition
         return [stmt]
 
-    def postdominators(self) -> Dict[int, Set[int]]:
-        """Node -> the set of nodes on every path from it to the exits.
-
-        Computed by the standard iterative intersection over the reversed
-        graph, with both :attr:`exit` and :attr:`raise_exit` as roots.
-        A cleanup node that post-dominates a resource creation is exactly
-        the "guaranteed cleanup" MP002 asks for.
-        """
-        all_nodes = set(self.succ)
-        roots = {self.exit, self.raise_exit}
-        post: Dict[int, Set[int]] = {
-            n: ({n} if n in roots else set(all_nodes)) for n in all_nodes
-        }
-        changed = True
-        while changed:
-            changed = False
-            for n in all_nodes - roots:
-                succs = self.succ[n]
-                if succs:
-                    new = set.intersection(*(post[s] for s in succs)) | {n}
-                else:  # dangling node: nothing beyond itself is guaranteed
-                    new = {n}
-                if new != post[n]:
-                    post[n] = new
-                    changed = True
-        return post
-
 
 class _Builder:
     """Recursive-descent CFG construction over a statement list."""
@@ -201,19 +161,6 @@ class _Builder:
             self._cleanup_kinds.setdefault(cleanup, set()).add(kind)
         else:
             self.cfg.add_edge(node, target)
-            if target == self.cfg.exit:
-                self._note_exit_kind(node, kind)
-
-    def _note_exit_kind(self, node: int, kind: str) -> None:
-        kinds = self.cfg.exit_kinds
-        if kind in (
-            "break", "continue"
-        ):  # pragma: no cover - break/continue never target exit
-            kind = AMBIGUOUS
-        if node in kinds and kinds[node] != kind:
-            kinds[node] = AMBIGUOUS
-        else:
-            kinds[node] = kind
 
     # -- statement dispatch ---------------------------------------------
     def build_block(
@@ -278,13 +225,7 @@ class _Builder:
         node = self.cfg.add_node(stmt)
         self._connect(frontier, node)
         self._implicit_exc_edge(node)
-        returns_value = not (
-            stmt.value is None
-            or (isinstance(stmt.value, ast.Constant) and stmt.value.value is None)
-        )
-        self._route_abrupt(
-            node, RETURN_VALUE if returns_value else RETURN_NONE, self.cfg.exit
-        )
+        self._route_abrupt(node, "return", self.cfg.exit)
         return []
 
     def _build_raise(self, stmt: ast.Raise, frontier: List[int]) -> List[int]:
@@ -437,14 +378,13 @@ class _Builder:
                 self.cfg.add_edge(src, self.cfg.raise_exit)
         for kind in kinds - {"raise"}:
             for src in end_frontier:
-                if kind in (RETURN_VALUE, RETURN_NONE):
+                if kind == "return":
                     if self._cleanup_stack:
                         outer = self._cleanup_stack[-1]
                         self.cfg.add_edge(src, outer)
                         self._cleanup_kinds.setdefault(outer, set()).add(kind)
                     else:
                         self.cfg.add_edge(src, self.cfg.exit)
-                        self._note_exit_kind(src, AMBIGUOUS)
                 elif kind == "break" and self._loop_stack:
                     if self._cleanup_stack:
                         outer = self._cleanup_stack[-1]
@@ -473,5 +413,4 @@ def build_cfg(func: FunctionLike) -> CFG:
     frontier = builder.build_block(func.body, [cfg.entry])
     for src in frontier:
         cfg.add_edge(src, cfg.exit)
-        builder._note_exit_kind(src, IMPLICIT)
     return cfg

@@ -5,8 +5,6 @@ mappings (a missing key is bottom), joined per key by a caller-supplied
 value join, and transferred per CFG node by a caller-supplied transfer
 function.  That is enough for every lattice the rule suite needs —
 
-* the *resource* lattice of MP002 (``created -> closed -> unlinked``,
-  joined towards "least progress" so a leak on any path survives);
 * the boolean *phase* lattice of MP001 (``threads_started`` may-state,
   joined by ``or``);
 * and, through :func:`fixpoint`, the flow-insensitive binding fixpoints
@@ -22,7 +20,7 @@ guaranteed cleanup on the exceptional path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Tuple, TypeVar
+from typing import Callable, Dict, TypeVar
 
 from .cfg import CFG, CFGNode
 
@@ -49,16 +47,15 @@ def solve_forward(
     transfer: Callable[[CFGNode, State], State],
     initial: State,
     join_values: Callable[[object, object], object],
-) -> Tuple[Dict[int, State], Dict[int, State]]:
+) -> Dict[int, State]:
     """Iterate ``transfer`` over ``cfg`` to a fixpoint.
 
-    Returns ``(state_in, state_out)`` per node index.  ``transfer`` must
+    Returns the in-state per node index.  ``transfer`` must
     be monotone over a finite-height value lattice for termination (every
     lattice in this suite is a finite chain or a boolean).  ``transfer``
     receives a private copy of the in-state and may mutate it.
     """
     state_in: Dict[int, State] = {cfg.entry: dict(initial)}
-    state_out: Dict[int, State] = {}
     worklist = deque([cfg.entry])
     in_queue = {cfg.entry}
     while worklist:
@@ -67,7 +64,6 @@ def solve_forward(
         node = cfg.nodes[index]
         in_state = state_in.get(index, {})
         out_state = transfer(node, dict(in_state))
-        state_out[index] = out_state
         for succ in cfg.succ[index]:
             # Exception edges carry the pre-state joined with the
             # post-state: the raising statement's effect may or may not
@@ -87,7 +83,7 @@ def solve_forward(
                 if succ not in in_queue:
                     worklist.append(succ)
                     in_queue.add(succ)
-    return state_in, state_out
+    return state_in
 
 
 def fixpoint(step: Callable[[T], T], initial: T) -> T:

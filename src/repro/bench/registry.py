@@ -39,9 +39,10 @@ class CaseOutput:
     """What one execution of a case body produced.
 
     ``counters`` are deterministic metrics (exact-gated against
-    baselines); ``timings`` are optional wall-clock-derived metrics the
-    case measured itself (e.g. a service's events/sec), medianed across
-    repeats alongside the runner's own ``run_s``.
+    baselines); ``timings`` are optional wall-clock durations in seconds
+    the case measured itself (e.g. a service's ``elapsed_s``), medianed
+    across repeats alongside the runner's own ``run_s``.  Lower is better
+    for every timing; ``repro bench compare`` reads them that way.
     """
 
     counters: Dict[str, float]

@@ -24,12 +24,9 @@ Commands
     window boundaries, resumes from the WAL, and byte-compares the results
     against an uninterrupted reference.  ``compare`` and ``serve``
     accept ``--faults SPEC`` to simulate a degraded array.
-``trace {plan,compare,serve}``
-    Run a workload under the tracer (see ``docs/observability.md``) and
-    print the phase breakdown; ``--out DIR`` exports a Perfetto-loadable
-    Chrome trace, the raw span log, and the phase report.  ``plan``,
-    ``compare``, ``serve``, and ``bench run`` take the same exports via
-    their ``--trace DIR`` flag.
+``slo [DATASET]``
+    Serve a stream and evaluate declarative SLO targets (exit 1 on any
+    violated objective).
 ``lint [PATH ...]``
     Run the repo's static-analysis suite (determinism, unit-safety,
     thread-safety — see ``docs/static-analysis.md``) over source paths.
@@ -39,11 +36,17 @@ Commands
     the case catalog.
 ``area``
     Print the Fig. 14 area breakdown.
+
+``plan``, ``compare`` and ``serve`` take ``--trace DIR``: the command runs
+under the tracer (see ``docs/observability.md``), prints the phase
+breakdown after its own output, and writes a Perfetto-loadable Chrome
+trace, the raw span log, the phase report and a flamegraph log to DIR.
 """
 
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import List, Optional
 
 from .accel.config import HardwareConfig
@@ -56,14 +59,21 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser."""
+    """The top-level argument parser.
+
+    Every command sets ``handler``, which takes the parsed arguments and
+    returns an exit code (``None`` means 0).
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DiTile-DGNN (ISCA 2025) reproduction toolkit",
     )
+    parser.set_defaults(trace=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datasets", help="list the Table 1 dataset registry")
+    sub.add_parser(
+        "datasets", help="list the Table 1 dataset registry"
+    ).set_defaults(handler=_cmd_datasets)
 
     plan = sub.add_parser("plan", help="show the DiTile scheduler's plan")
     _add_workload_args(plan)
@@ -72,11 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain", action="store_true",
         help="print the full decision trace (every grid shape's cost)",
     )
+    plan.set_defaults(handler=_cmd_plan)
 
     compare = sub.add_parser("compare", help="simulate all five accelerators")
     _add_workload_args(compare)
     _add_trace_arg(compare)
     _add_faults_arg(compare)
+    compare.set_defaults(handler=_cmd_compare)
 
     reproduce = sub.add_parser(
         "reproduce", help="regenerate evaluation tables/figures"
@@ -94,11 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="DIR",
         help="also export results to DIR (CSV per figure + REPORT.md)",
     )
+    reproduce.set_defaults(handler=_cmd_reproduce)
 
     serve = sub.add_parser(
         "serve", help="run the online streaming-inference service"
     )
-    _add_serve_args(serve)
+    _add_stream_args(serve)
+    _add_service_args(serve)
+    _add_durability_args(serve)
     _add_slo_args(serve)
     _add_trace_arg(serve)
     _add_faults_arg(serve)
@@ -108,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-comparable across pipeline depths and worker counts (the CI "
         "pipeline-parity gate)",
     )
+    serve.set_defaults(handler=_cmd_serve)
 
     chaos = sub.add_parser(
         "chaos", help="resilience tooling: chaos harness and fault sweeps"
@@ -116,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_serve = chaos_sub.add_parser(
         "serve", help="serve a stream under seeded fault injection"
     )
-    _add_serve_args(chaos_serve)
+    _add_stream_args(chaos_serve)
+    _add_service_args(chaos_serve)
+    _add_durability_args(chaos_serve)
     _add_slo_args(chaos_serve)
     chaos_serve.add_argument(
         "--chaos-seed", type=int, default=11,
@@ -146,12 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="OUT",
         help="write the deterministic chaos report (JSON) to OUT",
     )
+    chaos_serve.set_defaults(handler=_cmd_chaos_serve)
     chaos_recover = chaos_sub.add_parser(
         "recover",
         help="kill-and-resume sweep: SIGKILL the serving process at "
         "window boundaries, resume from the WAL, byte-compare results",
     )
-    _add_serve_args(chaos_recover)
+    # No durability flags: the sweep owns each kill point's WAL directory.
+    _add_stream_args(chaos_recover)
+    _add_service_args(chaos_recover)
     chaos_recover.add_argument(
         "--kill-points", default=None, metavar="K,K,...",
         help="comma-separated window boundaries to kill at "
@@ -166,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="OUT",
         help="write the deterministic recovery report (JSON) to OUT",
     )
+    chaos_recover.set_defaults(handler=_cmd_chaos_recover)
     chaos_sweep = chaos_sub.add_parser(
         "sweep", help="slowdown-vs-fault-rate curve: ring+Re-Link vs mesh"
     )
@@ -178,55 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=11,
         help="fault-sampling seed (fault sets nest across rates)",
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a workload under the tracer and print its phase breakdown",
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_plan = trace_sub.add_parser(
-        "plan", help="trace the DiTile scheduler (Alg. 1/2 phases)"
-    )
-    _add_workload_args(trace_plan)
-    trace_plan.add_argument("--explain", action="store_true",
-                            help=argparse.SUPPRESS)
-    trace_compare = trace_sub.add_parser(
-        "compare", help="trace the five-accelerator comparison"
-    )
-    _add_workload_args(trace_compare)
-    trace_serve = trace_sub.add_parser(
-        "serve", help="trace the streaming-inference service"
-    )
-    _add_serve_args(trace_serve)
-    _add_slo_args(trace_serve)
-    for p in (trace_plan, trace_compare, trace_serve):
-        p.add_argument(
-            "--out", default=None, metavar="DIR",
-            help="also write trace.json / spans.jsonl / phases.json / "
-            "flame.folded to DIR",
-        )
-        p.add_argument(
-            "--format", choices=["text", "json"], default="text",
-            help="phase-report format (default: text); json rows are "
-            "name-sorted, a stable order across runs",
-        )
-        p.add_argument(
-            "--sort", choices=["time", "name"], default="time",
-            help="phase-row order for --format text (default: time; "
-            "name is stable across runs)",
-        )
+    chaos_sweep.set_defaults(handler=_cmd_chaos_sweep)
 
     slo = sub.add_parser(
         "slo",
         help="serve a stream and evaluate declarative SLO targets "
         "(exit 1 on any violated objective)",
     )
-    _add_serve_args(slo)
+    _add_stream_args(slo)
+    _add_service_args(slo)
+    _add_durability_args(slo)
     _add_slo_args(slo)
     slo.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="report format (default: text)",
     )
+    slo.set_defaults(handler=_cmd_slo)
 
     lint = sub.add_parser(
         "lint", help="run the static-analysis suite over source paths"
@@ -260,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a SARIF 2.1.0 report to FILE (lets CI gate and "
         "upload findings from a single lint run)",
     )
+    lint.set_defaults(handler=_cmd_lint)
 
     bench = sub.add_parser(
         "bench", help="deterministic benchmark suite (run/compare/list)"
@@ -290,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="untimed executions per case before timing (default: 1)",
     )
     bench_run.add_argument(
-        "--trace", default=None, metavar="DIR", dest="trace",
+        # Not `dest="trace"`: that one makes main() trace the whole command.
+        "--trace", default=None, metavar="DIR", dest="case_trace",
         help="trace every case; writes <case>.trace.json / .spans.jsonl / "
         ".phases.json into DIR",
     )
@@ -303,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline directory for --update-baselines "
         "(default: benchmarks/baselines)",
     )
+    bench_run.set_defaults(handler=_cmd_bench_run)
 
     bench_compare = bench_sub.add_parser(
         "compare", help="compare a bench record against a baseline"
@@ -321,10 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text",
         help="report format (default: text)",
     )
+    bench_compare.set_defaults(handler=_cmd_bench_compare)
 
-    bench_sub.add_parser("list", help="print the benchmark case catalog")
+    bench_sub.add_parser(
+        "list", help="print the benchmark case catalog"
+    ).set_defaults(handler=_cmd_bench_list)
 
-    sub.add_parser("area", help="print the Fig. 14 area breakdown")
+    sub.add_parser(
+        "area", help="print the Fig. 14 area breakdown"
+    ).set_defaults(handler=_cmd_area)
     return parser
 
 
@@ -348,84 +345,93 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="DIR",
         help="run under the tracer: print the phase breakdown and write "
-        "trace.json / spans.jsonl / phases.json to DIR",
+        "trace.json / spans.jsonl / phases.json / flame.folded to DIR",
     )
 
 
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _add_stream_args(parser: argparse.ArgumentParser) -> None:
+    """The event stream and model a serving command runs."""
+    group = parser.add_argument_group("stream")
+    group.add_argument(
         "dataset", nargs="?", default=None,
         help="Table 1 dataset to replay as an event stream "
         "(omit to serve a synthetic stream)",
     )
-    parser.add_argument("--scale", type=float, default=0.0625,
-                        help="dataset synthesis scale (dataset mode)")
-    parser.add_argument("--snapshots", type=int, default=None,
-                        help="dataset snapshot count (dataset mode)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--vertices", type=int, default=256,
-                        help="synthetic stream vertex count")
-    parser.add_argument("--events", type=int, default=10_000,
-                        help="synthetic stream event count")
-    parser.add_argument("--remove-fraction", type=float, default=0.15,
-                        help="synthetic stream edge-removal share")
-    parser.add_argument("--window", type=float, default=None,
-                        help="window width in stream time (default: 1.0 for "
-                        "dataset replays, span/32 for synthetic streams)")
-    parser.add_argument("--drift-threshold", type=float, default=0.25,
-                        help="relative workload change that forces a re-plan")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="simulation worker threads (0 = inline)")
-    parser.add_argument("--batch", type=int, default=4,
-                        help="max windows grouped per executor batch")
-    parser.add_argument("--pipeline-depth", type=int, default=2,
-                        help="window batches in flight at once (1 = "
-                        "serialized dispatch; results are bit-identical "
-                        "at every depth — see docs/serving.md)")
-    parser.add_argument("--queue-capacity", type=int, default=8,
-                        help="ingest queue bound (backpressure)")
-    parser.add_argument("--plan-cache-capacity", type=int, default=32,
-                        help="LRU bound of the execution-plan cache")
-    parser.add_argument("--hidden-dim", type=int, default=64,
-                        help="DGNN hidden width (synthetic mode)")
-    parser.add_argument("--wal", default=None, metavar="DIR",
-                        help="durable ingest: write-ahead-log every event "
-                        "and checkpoint every committed window under DIR "
-                        "(see docs/resilience.md 'Durability & recovery')")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the newest valid checkpoint in "
-                        "--wal DIR, replaying the WAL suffix (results are "
-                        "byte-identical to the uninterrupted run)")
-    parser.add_argument("--checkpoint-interval", type=int, default=1,
-                        help="windows between checkpoints (durable mode)")
-    parser.add_argument("--wal-retain", type=int, default=3,
-                        help="checkpoints retained on disk (durable mode)")
-    parser.add_argument("--kill-after-commit", type=int, default=None,
-                        metavar="K",
-                        help="chaos hook: SIGKILL this process right after "
-                        "window K's commit is durable (durable mode; the "
-                        "CI chaos-recovery job)")
+    group.add_argument("--scale", type=float, default=0.0625,
+                       help="dataset synthesis scale (dataset mode)")
+    group.add_argument("--snapshots", type=int, default=None,
+                       help="dataset snapshot count (dataset mode)")
+    group.add_argument("--seed", type=int, default=7)
+    group.add_argument("--vertices", type=int, default=256,
+                       help="synthetic stream vertex count")
+    group.add_argument("--events", type=int, default=10_000,
+                       help="synthetic stream event count")
+    group.add_argument("--remove-fraction", type=float, default=0.15,
+                       help="synthetic stream edge-removal share")
+    group.add_argument("--window", type=float, default=None,
+                       help="window width in stream time (default: 1.0 for "
+                       "dataset replays, span/32 for synthetic streams)")
+    group.add_argument("--hidden-dim", type=int, default=64,
+                       help="DGNN hidden width (synthetic mode)")
+
+
+def _add_service_args(parser: argparse.ArgumentParser) -> None:
+    """The :class:`ServiceConfig` knobs every serving command shares."""
+    group = parser.add_argument_group("service")
+    group.add_argument("--drift-threshold", type=float, default=0.25,
+                       help="relative workload change that forces a re-plan")
+    group.add_argument("--workers", type=int, default=2,
+                       help="simulation worker threads (0 = inline)")
+    group.add_argument("--batch", type=int, default=4,
+                       help="max windows grouped per executor batch")
+    group.add_argument("--pipeline-depth", type=int, default=2,
+                       help="window batches in flight at once (1 = "
+                       "serialized dispatch; results are bit-identical "
+                       "at every depth — see docs/serving.md)")
+    group.add_argument("--queue-capacity", type=int, default=8,
+                       help="ingest queue bound (backpressure)")
+    group.add_argument("--plan-cache-capacity", type=int, default=32,
+                       help="LRU bound of the execution-plan cache")
+
+
+def _add_durability_args(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_durability_config` reads."""
+    group = parser.add_argument_group("durability")
+    group.add_argument("--wal", default=None, metavar="DIR",
+                       help="durable ingest: write-ahead-log every event "
+                       "and checkpoint every committed window under DIR "
+                       "(see docs/resilience.md 'Durability & recovery')")
+    group.add_argument("--resume", action="store_true",
+                       help="resume from the newest valid checkpoint in "
+                       "--wal DIR, replaying the WAL suffix (results are "
+                       "byte-identical to the uninterrupted run)")
+    group.add_argument("--checkpoint-interval", type=int, default=1,
+                       help="windows between checkpoints (durable mode)")
+    group.add_argument("--wal-retain", type=int, default=3,
+                       help="checkpoints retained on disk (durable mode)")
+    group.add_argument("--kill-after-commit", type=int, default=None,
+                       metavar="K",
+                       help="chaos hook: SIGKILL this process right after "
+                       "window K's commit is durable (durable mode; the "
+                       "CI chaos-recovery job)")
 
 
 def _add_slo_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    group = parser.add_argument_group("SLO")
+    group.add_argument(
         "--p95-latency", type=float, default=0.5, metavar="S",
         help="SLO target: p95 window latency ceiling in seconds "
         "(default: 0.5)",
     )
-    parser.add_argument(
-        "--max-shed-rate", type=float, default=0.0, metavar="F",
-        help="SLO target: shed-window share ceiling (default: 0.0)",
-    )
-    parser.add_argument(
+    group.add_argument(
         "--restart-budget", type=float, default=0.0, metavar="N",
-        help="SLO target: worker-restart ceiling (default: 0)",
+        help="SLO target: durable-resume ceiling (default: 0)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--overlap-floor", type=float, default=0.0, metavar="F",
         help="SLO target: pipeline overlap-ratio floor (default: 0.0)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--slo-json", default=None, metavar="OUT",
         help="evaluate the SLO targets and write the health report "
         "(JSON) to OUT",
@@ -433,18 +439,17 @@ def _add_slo_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _durability_config(args: argparse.Namespace):
-    """The :class:`DurabilityConfig` the serve flags describe (or None)."""
-    wal = getattr(args, "wal", None)
-    if not wal:
-        if getattr(args, "resume", False):
+    """The :class:`DurabilityConfig` the durability flags describe (or None)."""
+    if not args.wal:
+        if args.resume:
             raise SystemExit("--resume requires --wal DIR")
-        if getattr(args, "kill_after_commit", None) is not None:
+        if args.kill_after_commit is not None:
             raise SystemExit("--kill-after-commit requires --wal DIR")
         return None
     from .durability import DurabilityConfig
 
     return DurabilityConfig(
-        directory=wal,
+        directory=args.wal,
         resume=args.resume,
         checkpoint_interval=args.checkpoint_interval,
         retain=args.wal_retain,
@@ -452,33 +457,34 @@ def _durability_config(args: argparse.Namespace):
     )
 
 
-def _slo_monitor(args: argparse.Namespace):
+def _write_artifact(path: str, text: str, what: str) -> None:
+    """Write ``text`` and a newline to ``path`` (creating its directory)."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text + "\n")
+    print(f"{what} written to {out}")
+
+
+def _emit_slo(args: argparse.Namespace, stats, fmt: str = "text") -> int:
+    """Evaluate the SLO targets against ``stats``, print the health report
+    in ``fmt``, honor ``--slo-json``, and return the lint-style exit code."""
     from .obs import SLOMonitor, default_targets
 
-    return SLOMonitor(
+    report = SLOMonitor(
         default_targets(
             p95_latency_s=args.p95_latency,
-            shed_rate=args.max_shed_rate,
             restart_budget=args.restart_budget,
             overlap_floor=args.overlap_floor,
         )
-    )
-
-
-def _emit_slo(args: argparse.Namespace, stats) -> int:
-    """Evaluate SLO targets against ``stats``, print the health report,
-    honor ``--slo-json``, and return the lint-style exit code."""
-    slo_report = _slo_monitor(args).evaluate(stats)
-    print()
-    print(slo_report.render_text())
-    if getattr(args, "slo_json", None):
-        from pathlib import Path
-
-        out = Path(args.slo_json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        slo_report.write(out)
-        print(f"SLO report written to {out}")
-    return slo_report.exit_code
+    ).evaluate(stats)
+    if fmt == "json":
+        print(report.render_json())
+    else:
+        print()
+        print(report.render_text())
+    if args.slo_json:
+        _write_artifact(args.slo_json, report.render_json(), "SLO report")
+    return report.exit_code
 
 
 def _runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -488,7 +494,7 @@ def _runner(args: argparse.Namespace) -> ExperimentRunner:
     return ExperimentRunner(config)
 
 
-def _cmd_datasets() -> None:
+def _cmd_datasets(args: argparse.Namespace) -> None:
     rows = [
         [p.name, p.abbrev, p.vertices, p.edges, p.feature_dim, p.description]
         for p in TABLE1_DATASETS
@@ -521,20 +527,15 @@ def _cmd_plan(args: argparse.Namespace) -> None:
 
 
 def _parse_faults(args: argparse.Namespace, hardware=None):
-    """Resolve an optional ``--faults SPEC`` flag to a :class:`FaultModel`.
-
-    ``trace`` subcommands share the compare/serve handlers but do not take
-    the flag, hence the ``getattr``.
-    """
-    spec = getattr(args, "faults", None)
-    if not spec:
+    """Resolve an optional ``--faults SPEC`` flag to a :class:`FaultModel`."""
+    if not args.faults:
         return None
     from .resilience import FaultSpecError, parse_fault_spec
 
     if hardware is None:
         hardware = ditile_model().hardware
     try:
-        return parse_fault_spec(spec, hardware)
+        return parse_fault_spec(args.faults, hardware)
     except FaultSpecError as exc:
         raise SystemExit(f"error: invalid --faults spec: {exc}")
 
@@ -589,10 +590,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> None:
         print(f"exported {len(written) - 1} figures to {args.out}")
 
 
-def _serve_workload(args: argparse.Namespace):
-    """Build ``(stream, spec, window, origin)`` from serve-style args."""
+def _serve_setup(args: argparse.Namespace, **fields):
+    """``(stream, spec, config)`` from the stream and service flags.
+
+    ``fields`` are the :class:`ServiceConfig` fields a command sets on
+    top: ``durability``, ``faults`` or the chaos harness's resilience
+    policies.
+    """
     from .core.plan import DGNNSpec
-    from .serving import stream_from_dataset, synthetic_event_stream
+    from .serving import ServiceConfig, stream_from_dataset, synthetic_event_stream
 
     if args.dataset is not None:
         stream = stream_from_dataset(
@@ -621,40 +627,6 @@ def _serve_workload(args: argparse.Namespace):
             else max((last - first) / 32.0, 1e-9)
         )
         origin = None
-    return stream, spec, window, origin
-
-
-def _window_results_json(report) -> str:
-    """The deterministic per-window results of a serve run, as JSON.
-
-    Includes only simulation-derived fields (never wall-clock timings),
-    so two runs over the same stream are byte-identical regardless of
-    pipeline depth or worker count — the CI pipeline-parity job diffs
-    these dumps directly.
-    """
-    import json
-
-    windows = [
-        {
-            "index": record.index,
-            "num_events": record.num_events,
-            "plan_decision": record.plan_decision,
-            "execution_cycles": result.execution_cycles,
-            "total_macs": result.total_macs,
-            "dram_bytes": result.dram_bytes,
-            "noc_bytes": result.noc_bytes,
-            "noc_byte_hops": result.noc_byte_hops,
-            "energy_joules": result.energy_joules,
-        }
-        for record, result in zip(report.stats.records, report.results)
-    ]
-    return json.dumps({"windows": windows}, indent=2, sort_keys=True)
-
-
-def _cmd_serve(args: argparse.Namespace) -> None:
-    from .serving import ServiceConfig, StreamingService
-
-    stream, spec, window, origin = _serve_workload(args)
     config = ServiceConfig(
         window=window,
         origin=origin,
@@ -664,15 +636,31 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         queue_capacity=args.queue_capacity,
         plan_cache_capacity=args.plan_cache_capacity,
         drift_threshold=args.drift_threshold,
-        faults=_parse_faults(args),
-        durability=_durability_config(args),
+        **fields,
     )
+    return stream, spec, config
+
+
+def _print_stream(stream, config) -> None:
+    """The one-line stream header of the serving commands."""
     first, last = stream.time_span
+    windows = stream.num_windows(config.window, origin=config.origin)
     print(
         f"stream: {stream.name} |O|={stream.num_events} events over "
         f"[{first:g}, {last:g}], V={stream.num_vertices}, "
-        f"window={window:g} ({stream.num_windows(window, origin=origin)} windows)"
+        f"window={config.window:g} ({windows} windows)"
     )
+
+
+def _cmd_serve(args: argparse.Namespace) -> None:
+    """Serve a stream; SLOs are evaluated only when ``--slo-json`` asks,
+    and never fail the run (``repro slo`` is the exit-code surface)."""
+    from .serving import StreamingService
+
+    stream, spec, config = _serve_setup(
+        args, faults=_parse_faults(args), durability=_durability_config(args)
+    )
+    _print_stream(stream, config)
     report = StreamingService(ditile_model(), config).serve(stream, spec)
     print(report.stats.summary())
     print(
@@ -681,53 +669,29 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     )
     if config.faults is not None:
         print(f"faults: {config.faults.describe()}")
-    # `trace serve` shares this handler but does not take the flag.
-    results_json = getattr(args, "results_json", None)
-    if results_json:
-        from pathlib import Path
-
-        out = Path(results_json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_window_results_json(report) + "\n")
-        print(f"per-window results written to {out}")
-    # SLO surface: `trace serve` always prints the health report (the
-    # traced run is the observability surface); plain `serve` evaluates
-    # only when --slo-json asks for the artifact.  Violations never fail
-    # a serve run — `repro slo` is the exit-code surface.
-    if hasattr(args, "slo_json"):
-        from .obs import active_tracer
-
-        if args.slo_json or active_tracer() is not None:
-            _emit_slo(args, report.stats)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.chaos_command == "sweep":
-        from .experiments import fault_sweep
-
-        runner = _runner(args)
-        graph = runner.graph(args.dataset)
-        spec = runner.spec(args.dataset)
-        rates = tuple(
-            float(part) for part in args.rates.split(",") if part.strip()
+    if args.results_json:
+        _write_artifact(
+            args.results_json, report.results_json(), "per-window results"
         )
-        fig = fault_sweep(graph, spec, rates=rates, seed=args.fault_seed)
-        print(fig.to_text())
-        return 0
+    if args.slo_json:
+        _emit_slo(args, report.stats)
 
-    if args.chaos_command == "recover":
-        return _cmd_chaos_recover(args)
 
-    # chaos serve
+def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     from .resilience import (
         BreakerConfig,
         ChaosSchedule,
         RetryPolicy,
         run_chaos,
     )
-    from .serving import ServiceConfig
 
-    stream, spec, window, origin = _serve_workload(args)
+    stream, spec, config = _serve_setup(
+        args,
+        retry=RetryPolicy(max_attempts=args.max_attempts, backoff_s=0.0005),
+        breaker=BreakerConfig(),
+        quarantine=True,
+        durability=_durability_config(args),
+    )
     schedule = ChaosSchedule(
         seed=args.chaos_seed,
         crash_rate=args.crash_rate,
@@ -735,26 +699,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         latency_s=args.latency_s,
         poison_rate=args.poison_rate,
     )
-    config = ServiceConfig(
-        window=window,
-        origin=origin,
-        workers=args.workers,
-        max_batch_windows=args.batch,
-        pipeline_depth=args.pipeline_depth,
-        queue_capacity=args.queue_capacity,
-        plan_cache_capacity=args.plan_cache_capacity,
-        drift_threshold=args.drift_threshold,
-        retry=RetryPolicy(max_attempts=args.max_attempts, backoff_s=0.0005),
-        breaker=BreakerConfig(),
-        quarantine=True,
-        durability=_durability_config(args),
-    )
-    first, last = stream.time_span
-    print(
-        f"stream: {stream.name} |O|={stream.num_events} events over "
-        f"[{first:g}, {last:g}], V={stream.num_vertices}, "
-        f"window={window:g}"
-    )
+    _print_stream(stream, config)
     print(f"chaos: {schedule.describe()}")
     report, chaos_report = run_chaos(
         stream, spec, schedule, config=config, model=ditile_model()
@@ -762,12 +707,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(report.stats.summary())
     print(chaos_report.summary())
     if args.json:
-        from pathlib import Path
-
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(chaos_report.to_json() + "\n")
-        print(f"chaos report written to {out}")
+        _write_artifact(args.json, chaos_report.to_json(), "chaos report")
     if args.slo_json:
         _emit_slo(args, report.stats)
     # Exit 0 only if every window was eventually served: a permanently
@@ -777,32 +717,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_chaos_recover(args: argparse.Namespace) -> int:
     from .durability import run_recover_sweep
-    from .serving import ServiceConfig
 
-    stream, spec, window, origin = _serve_workload(args)
-    config = ServiceConfig(
-        window=window,
-        origin=origin,
-        workers=args.workers,
-        max_batch_windows=args.batch,
-        pipeline_depth=args.pipeline_depth,
-        queue_capacity=args.queue_capacity,
-        plan_cache_capacity=args.plan_cache_capacity,
-        drift_threshold=args.drift_threshold,
-    )
+    stream, spec, config = _serve_setup(args)
     kill_points = None
     if args.kill_points:
         kill_points = [
             int(part) for part in args.kill_points.split(",") if part.strip()
         ]
-    first, last = stream.time_span
+    _print_stream(stream, config)
     print(
-        f"stream: {stream.name} |O|={stream.num_events} events over "
-        f"[{first:g}, {last:g}], V={stream.num_vertices}, "
-        f"window={window:g} ({stream.num_windows(window, origin=origin)} windows)"
-    )
-    print(
-        f"recover: depth={args.pipeline_depth} "
+        f"recover: depth={config.pipeline_depth} "
         f"kill points={'all boundaries' if kill_points is None else kill_points}"
     )
     report, _reference = run_recover_sweep(
@@ -816,52 +740,36 @@ def _cmd_chaos_recover(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     if args.json:
-        from pathlib import Path
-
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
-        print(f"recovery report written to {out}")
+        _write_artifact(args.json, report.to_json(), "recovery report")
     return report.exit_code
+
+
+def _cmd_chaos_sweep(args: argparse.Namespace) -> None:
+    from .experiments import fault_sweep
+
+    runner = _runner(args)
+    graph = runner.graph(args.dataset)
+    spec = runner.spec(args.dataset)
+    rates = tuple(
+        float(part) for part in args.rates.split(",") if part.strip()
+    )
+    print(fault_sweep(graph, spec, rates=rates, seed=args.fault_seed).to_text())
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     """Serve a stream, evaluate SLO targets, exit 1 on any violation."""
-    from .serving import ServiceConfig, StreamingService
+    from .serving import StreamingService
 
-    stream, spec, window, origin = _serve_workload(args)
-    config = ServiceConfig(
-        window=window,
-        origin=origin,
-        workers=args.workers,
-        max_batch_windows=args.batch,
-        pipeline_depth=args.pipeline_depth,
-        queue_capacity=args.queue_capacity,
-        plan_cache_capacity=args.plan_cache_capacity,
-        drift_threshold=args.drift_threshold,
-        durability=_durability_config(args),
+    stream, spec, config = _serve_setup(
+        args, durability=_durability_config(args)
     )
     report = StreamingService(ditile_model(), config).serve(stream, spec)
-    slo_report = _slo_monitor(args).evaluate(report.stats)
-    if args.format == "json":
-        print(slo_report.render_json())
-    else:
+    if args.format == "text":
         print(report.stats.summary())
-        print()
-        print(slo_report.render_text())
-    if args.slo_json:
-        from pathlib import Path
-
-        out = Path(args.slo_json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        slo_report.write(out)
-        print(f"SLO report written to {out}")
-    return slo_report.exit_code
+    return _emit_slo(args, report.stats, args.format)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .analysis import (
         EXIT_USAGE,
         LintRunner,
@@ -930,64 +838,57 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(render_text(report.findings, report.files_checked))
     if args.sarif_out:
-        out = Path(args.sarif_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            render_sarif(
-                report.findings,
-                report.files_checked,
-                rules=default_registry().rules,
-            )
-            + "\n"
+        sarif = render_sarif(
+            report.findings,
+            report.files_checked,
+            rules=default_registry().rules,
         )
-        print(f"SARIF report written to {out}")
+        _write_artifact(args.sarif_out, sarif, "SARIF report")
     return report.exit_code
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _cmd_bench_list(args: argparse.Namespace) -> None:
+    from .bench import default_registry
 
+    for case in default_registry().select():
+        suites = ",".join(case.suites)
+        print(f"{case.name:<34} [{suites}]  {case.description}")
+
+
+def _cmd_bench_compare(args: argparse.Namespace) -> int:
+    from .bench import EXIT_USAGE, BenchRecord, RecordError, compare_records
+
+    try:
+        baseline = BenchRecord.load(args.baseline)
+        current = BenchRecord.load(args.current)
+        report = compare_records(
+            baseline,
+            current,
+            timing_tolerance=args.timing_tolerance,
+            gate_timings=args.gate_timings,
+        )
+    except (RecordError, ValueError) as exc:
+        print(f"error: {exc}")
+        return EXIT_USAGE
+    print(report.render_json() if args.format == "json" else report.render_text())
+    return report.exit_code
+
+
+def _cmd_bench_run(args: argparse.Namespace) -> int:
     from .bench import (
         EXIT_REGRESSIONS,
         EXIT_USAGE,
-        BenchRecord,
         BenchRunner,
         NondeterministicCaseError,
-        RecordError,
         UnknownCaseError,
-        compare_records,
-        default_registry,
     )
 
-    if args.bench_command == "list":
-        for case in default_registry().select():
-            suites = ",".join(case.suites)
-            print(f"{case.name:<34} [{suites}]  {case.description}")
-        return 0
-
-    if args.bench_command == "compare":
-        try:
-            baseline = BenchRecord.load(args.baseline)
-            current = BenchRecord.load(args.current)
-            report = compare_records(
-                baseline,
-                current,
-                timing_tolerance=args.timing_tolerance,
-                gate_timings=args.gate_timings,
-            )
-        except (RecordError, ValueError) as exc:
-            print(f"error: {exc}")
-            return EXIT_USAGE
-        print(report.render_json() if args.format == "json" else report.render_text())
-        return report.exit_code
-
-    # bench run
     try:
         runner = BenchRunner(
             repeats=args.repeats,
             warmup=args.warmup,
             progress=print,
-            trace_dir=args.trace,
+            trace_dir=args.case_trace,
         )
         record = runner.run(
             suite=None if args.cases else args.suite, names=args.cases
@@ -1013,6 +914,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_area(args: argparse.Namespace) -> None:
+    print(figure14(HardwareConfig.small()).to_text())
+
+
 def ditile_model():
     """The service's accelerator model (one seam for tests to patch)."""
     from .ditile import DiTileAccelerator
@@ -1020,67 +925,24 @@ def ditile_model():
     return DiTileAccelerator()
 
 
-def _run_traced(fn, args: argparse.Namespace, out_dir, name: str) -> int:
-    """Run a command handler under a :class:`~repro.obs.TraceSession`.
-
-    Prints the phase-breakdown table after the command's own output and,
-    with an output directory, the exported artifact paths.
-    """
+def _run_traced(args: argparse.Namespace) -> int:
+    """Run the command under a :class:`~repro.obs.TraceSession` exporting
+    to ``--trace DIR``; print the phase breakdown after the command's own
+    output, then the exported artifact paths."""
     from .obs import TraceSession
 
-    with TraceSession(out_dir, name=name) as session:
-        fn(args)
+    with TraceSession(args.trace, name=args.command) as session:
+        code = args.handler(args)
     print()
-    if getattr(args, "format", "text") == "json":
-        print(session.report.render_json())
-    else:
-        print(session.report.render_text(sort=getattr(args, "sort", "time")))
+    print(session.report.render_text())
     for kind in sorted(session.written):
         print(f"trace {kind}: {session.written[kind]}")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    handlers = {"plan": _cmd_plan, "compare": _cmd_compare, "serve": _cmd_serve}
-    fn = handlers[args.trace_command]
-    return _run_traced(fn, args, args.out, f"trace-{args.trace_command}")
-
-
-def _cmd_area() -> None:
-    print(figure14(HardwareConfig.small()).to_text())
+    return code or 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        _cmd_datasets()
-    elif args.command == "plan":
-        if args.trace:
-            return _run_traced(_cmd_plan, args, args.trace, "plan")
-        _cmd_plan(args)
-    elif args.command == "compare":
-        if args.trace:
-            return _run_traced(_cmd_compare, args, args.trace, "compare")
-        _cmd_compare(args)
-    elif args.command == "reproduce":
-        _cmd_reproduce(args)
-    elif args.command == "serve":
-        if args.trace:
-            return _run_traced(_cmd_serve, args, args.trace, "serve")
-        _cmd_serve(args)
-    elif args.command == "chaos":
-        return _cmd_chaos(args)
-    elif args.command == "trace":
-        return _cmd_trace(args)
-    elif args.command == "slo":
-        return _cmd_slo(args)
-    elif args.command == "lint":
-        return _cmd_lint(args)
-    elif args.command == "bench":
-        return _cmd_bench(args)
-    elif args.command == "area":
-        _cmd_area()
-    else:  # pragma: no cover - argparse enforces choices
-        return 2
-    return 0
+    if args.trace:
+        return _run_traced(args)
+    return args.handler(args) or 0

@@ -25,14 +25,6 @@ from .tracer import Tracer
 __all__ = ["PhaseNode", "PhaseReport", "build_phase_report"]
 
 
-def _child_key(sort: str):
-    """Child ordering for renderers: ``"time"`` (descending, name tie-break)
-    or ``"name"`` (run-to-run stable — wall times vary, names do not)."""
-    if sort == "name":
-        return lambda n: n.name
-    return lambda n: (-n.total_us, n.name)
-
-
 @dataclass
 class PhaseNode:
     """Aggregate of every span that shares one ancestry path."""
@@ -61,8 +53,9 @@ class PhaseNode:
         self.children.append(node)
         return node
 
-    def as_dict(self, sort: str = "time") -> Dict[str, object]:
-        """JSON representation (children sorted by ``sort``)."""
+    def as_dict(self) -> Dict[str, object]:
+        """JSON representation, children sorted by name: a row order that
+        is stable across runs (wall times vary, names do not)."""
         return {
             "name": self.name,
             "path": self.path,
@@ -70,8 +63,7 @@ class PhaseNode:
             "total_us": self.total_us,
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "children": [
-                c.as_dict(sort)
-                for c in sorted(self.children, key=_child_key(sort))
+                c.as_dict() for c in sorted(self.children, key=lambda n: n.name)
             ],
         }
 
@@ -109,14 +101,13 @@ class PhaseReport:
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def render_text(self, sort: str = "time") -> str:
-        """The human-readable phase table (the ``repro trace`` output).
+    def render_text(self) -> str:
+        """The human-readable phase table (the ``--trace DIR`` output),
+        siblings ordered by descending wall time (the profiling view)."""
 
-        ``sort="time"`` orders siblings by descending wall time (the
-        profiling view); ``sort="name"`` orders them alphabetically, a
-        row order that is stable across runs of the same workload.
-        """
-        key = _child_key(sort)
+        def key(node: PhaseNode):
+            return (-node.total_us, node.name)
+
         lines = [
             f"{'phase':<44} {'count':>6} {'time_ms':>10} {'%parent':>8}  counters"
         ]
@@ -163,12 +154,12 @@ class PhaseReport:
                 )
         return "\n".join(lines)
 
-    def render_json(self, sort: str = "name") -> str:
-        """The machine-readable report (name-sorted rows by default, so
-        two reports of the same workload have rows in the same order)."""
+    def render_json(self) -> str:
+        """The machine-readable report (name-sorted rows, so two reports
+        of the same workload have rows in the same order)."""
         return json.dumps(
             {
-                "phases": self.root.as_dict(sort),
+                "phases": self.root.as_dict(),
                 "metrics": self.metrics,
             },
             indent=1,

@@ -1,8 +1,9 @@
 """Trace sessions: install a tracer, run a workload, export everything.
 
-The CLI's ``repro trace``, the ``--trace`` flags, and the bench runner's
-``--trace DIR`` all go through :class:`TraceSession`: it installs a fresh
-tracer for the duration of a ``with`` block and, on exit, writes
+The CLI's ``--trace DIR`` flag (``plan``, ``compare``, ``serve``) and the
+bench runner's per-case ``--trace DIR`` both go through
+:class:`TraceSession`: it installs a fresh tracer for the duration of a
+``with`` block and, on exit, writes
 
 * ``trace.json`` — Chrome trace-event JSON (open in Perfetto),
 * ``spans.jsonl`` — the raw span log, one JSON object per line,

@@ -9,7 +9,7 @@ record per served window for the latency target, so a report shows not
 just *that* p95 latency breached but *which* windows breached it.
 
 The monitor reads only the telemetry layer (wall-clock latencies,
-shed/resume counters, overlap ratio) — never the deterministic
+the resume counter, overlap ratio) — never the deterministic
 simulation results — so attaching it can never perturb parity.  Exit
 semantics mirror ``repro lint``: healthy -> 0, any violated target -> 1
 (``repro slo`` and ``--slo-json`` on serve/chaos).
@@ -28,11 +28,7 @@ __all__ = [
     "SLOReport",
     "SLOMonitor",
     "default_targets",
-    "SLO_FILENAME",
 ]
-
-#: default artifact name when a trace session exports an SLO report
-SLO_FILENAME = "slo.json"
 
 #: direction of an objective: "max" = observed must stay at or under the
 #: threshold, "min" = observed must stay at or over it
@@ -46,8 +42,8 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
 class SLOTarget:
     """One declarative service-level objective."""
 
-    #: stats metric this objective constrains (a key of
-    #: ``ServiceStats.as_dict()`` plus ``shed_rate``/``restarts``)
+    #: stats metric this objective constrains (a ``ServiceStats`` field
+    #: or property, or ``restarts``)
     metric: str
     #: "max" (ceiling) or "min" (floor)
     op: str
@@ -93,7 +89,6 @@ class HealthRecord:
 
 def default_targets(
     p95_latency_s: float = 0.5,
-    shed_rate: float = 0.0,
     restart_budget: float = 0.0,
     overlap_floor: float = 0.0,
 ) -> Tuple[SLOTarget, ...]:
@@ -101,8 +96,6 @@ def default_targets(
 
     * ``p95_window_latency`` — 95th-percentile close-to-result window
       latency at or under ``p95_latency_s`` seconds;
-    * ``shed_rate`` — fraction of closed windows dropped by load
-      shedding at or under ``shed_rate``;
     * ``restart_budget`` — durable resumes at or under
       ``restart_budget`` (0 for non-durable runs);
     * ``overlap_floor`` — pipeline overlap ratio at or over
@@ -111,7 +104,6 @@ def default_targets(
     """
     return (
         SLOTarget("p95_latency_s", "max", p95_latency_s, "p95_window_latency"),
-        SLOTarget("shed_rate", "max", shed_rate),
         SLOTarget("restarts", "max", restart_budget, "restart_budget"),
         SLOTarget("overlap_ratio", "min", overlap_floor, "overlap_floor"),
     )

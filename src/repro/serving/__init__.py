@@ -31,9 +31,8 @@ Graceful degradation (all off by default — see ``docs/resilience.md``):
 retry with exponential backoff and per-window deadlines
 (:class:`~repro.resilience.policies.RetryPolicy`), a plan-manager circuit
 breaker serving the last-good plan through replan storms, a dead-letter
-queue for malformed events (``quarantine=True``), bounded-queue load
-shedding, and a seeded chaos harness
-(:class:`~repro.resilience.chaos.ChaosSchedule`).
+queue for malformed events (``quarantine=True``), and a seeded chaos
+harness (:class:`~repro.resilience.chaos.ChaosSchedule`).
 """
 
 from .ingest import (

@@ -31,6 +31,7 @@ the online service's, which the parity tests assert.
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
 from dataclasses import dataclass
@@ -99,8 +100,6 @@ class ServiceConfig:
     breaker: Optional[BreakerConfig] = None
     #: divert malformed events to a dead-letter queue instead of raising
     quarantine: bool = False
-    #: drop windows when the ingest queue is full instead of blocking
-    load_shedding: bool = False
     #: seeded fault-injection schedule (chaos testing only)
     chaos: Optional[ChaosSchedule] = None
     #: hardware fault model applied to every window simulation
@@ -112,13 +111,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if self.durability is not None and self.load_shedding:
-            raise ValueError(
-                "load_shedding is incompatible with durable ingest: "
-                "timing-dependent drops cannot be replayed crash-"
-                "consistently (a resumed run must re-serve exactly the "
-                "windows the original run served)"
-            )
         if self.max_batch_windows < 1:
             raise ValueError("max_batch_windows must be >= 1")
         if self.queue_capacity < 1:
@@ -145,6 +137,31 @@ class ServingReport:
     def total_cycles(self) -> float:
         """Accelerator cycles summed over all served windows."""
         return sum(r.execution_cycles for r in self.results)
+
+    def results_json(self) -> str:
+        """The deterministic per-window results, as JSON.
+
+        Only simulation-derived fields (never wall-clock timings), so two
+        runs over the same stream are byte-identical whatever the pipeline
+        depth, worker count or crash point: ``repro serve --results-json``
+        writes this, and the CI pipeline-parity and chaos-recovery jobs
+        diff the dumps directly.
+        """
+        windows = [
+            {
+                "index": record.index,
+                "num_events": record.num_events,
+                "plan_decision": record.plan_decision,
+                "execution_cycles": result.execution_cycles,
+                "total_macs": result.total_macs,
+                "dram_bytes": result.dram_bytes,
+                "noc_bytes": result.noc_bytes,
+                "noc_byte_hops": result.noc_byte_hops,
+                "energy_joules": result.energy_joules,
+            }
+            for record, result in zip(self.stats.records, self.results)
+        ]
+        return json.dumps({"windows": windows}, indent=2, sort_keys=True)
 
 
 class StreamingService:
@@ -243,7 +260,6 @@ class StreamingService:
             events = dur.wrap_stream(events)
         window_queue: "queue.Queue" = queue.Queue(maxsize=cfg.queue_capacity)
         stop = threading.Event()
-        shed = [0]  # mutated by the ingest thread, read after join
 
         def _enqueue(item) -> bool:
             """Blocking put that gives up once the dispatcher has stopped
@@ -269,15 +285,8 @@ class StreamingService:
                     with obs_span("ingest", window=window.index) as sp:
                         if sp.enabled:
                             sp.add("events", window.num_events)
-                        if cfg.load_shedding:
-                            try:
-                                window_queue.put_nowait(window)
-                            except queue.Full:
-                                shed[0] += 1
-                        elif not _enqueue(window):
+                        if not _enqueue(window):
                             return
-                # The sentinel (and any error below) always blocks its way
-                # in — shedding only ever drops windows.
                 _enqueue(_SENTINEL)
             except BaseException as exc:  # propagate into the dispatch loop
                 _enqueue(exc)
@@ -360,7 +369,6 @@ class StreamingService:
         stats.windows = len(results)
         stats.events = ingestor.total_events
         stats.late_events = ingestor.late_events
-        stats.shed_windows = shed[0]
         stats.quarantined_events = ingestor.quarantined_events
         stats.from_plan_manager(manager)
         if dur is not None:
@@ -370,12 +378,10 @@ class StreamingService:
             cfg.retry is not None
             or cfg.breaker is not None
             or cfg.quarantine
-            or cfg.load_shedding
             or chaos is not None
         ):
             obs_gauge_set("serve.retries", stats.retries)
             obs_gauge_set("serve.windows_failed", stats.windows_failed)
-            obs_gauge_set("serve.shed_windows", stats.shed_windows)
             obs_gauge_set("serve.quarantined_events", stats.quarantined_events)
             obs_gauge_set("serve.breaker_trips", stats.breaker_trips)
             obs_gauge_set("serve.plan_breaker_hits", stats.plan_breaker_hits)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 __all__ = [
     "wall_clock",
@@ -137,8 +137,6 @@ class ServiceStats:
     retries: int = 0
     #: windows that exhausted their retry budget (or deadline)
     windows_failed: int = 0
-    #: windows dropped by load shedding before they reached dispatch
-    shed_windows: int = 0
     #: malformed events diverted to the ingest dead-letter queue
     quarantined_events: int = 0
     #: windows served the last-good plan by an open circuit breaker
@@ -239,19 +237,6 @@ class ServiceStats:
         return self.windows / self.batches
 
     @property
-    def shed_rate(self) -> float:
-        """Fraction of closed windows dropped by load shedding.
-
-        ``shed / (served + shed)``, and a defined ``0.0`` when the run
-        closed no windows at all — the SLO monitor evaluates this on
-        every run, including empty ones.
-        """
-        offered = self.windows + self.shed_windows
-        if offered == 0:
-            return 0.0
-        return self.shed_windows / offered
-
-    @property
     def overlap_ratio(self) -> float:
         """Fraction of worker execution time hidden from the dispatch
         thread — by the worker pool and, at ``pipeline_depth > 1``, by
@@ -269,52 +254,6 @@ class ServiceStats:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, float]:
-        """Flat metric mapping (for JSON export / benchmarks)."""
-        return {
-            "windows": self.windows,
-            "events": self.events,
-            "late_events": self.late_events,
-            "elapsed_s": self.elapsed_s,
-            "events_per_sec": self.events_per_sec,
-            "windows_per_sec": self.windows_per_sec,
-            "p50_latency_s": self.p50_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "max_latency_s": self.max_latency_s,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "plan_replans": self.plan_replans,
-            "plan_evictions": self.plan_evictions,
-            "plan_cache_size": self.plan_cache_size,
-            "plan_hit_rate": self.plan_hit_rate,
-            "batches": self.batches,
-            "mean_batch_windows": self.mean_batch_windows,
-            "plan_resolve_s": self.plan_resolve_s,
-            "execute_s": self.execute_s,
-            "pipeline_depth": self.pipeline_depth,
-            "max_inflight_batches": self.max_inflight_batches,
-            "prefetch_stall_s": self.prefetch_stall_s,
-            "collect_stall_s": self.collect_stall_s,
-            "overlap_ratio": self.overlap_ratio,
-            "profile_reuses": self.profile_reuses,
-            "max_queue_depth": self.max_queue_depth,
-            "mean_queue_depth": self.mean_queue_depth,
-            "p95_queue_depth": self.p95_queue_depth,
-            "retries": self.retries,
-            "windows_failed": self.windows_failed,
-            "shed_windows": self.shed_windows,
-            "shed_rate": self.shed_rate,
-            "quarantined_events": self.quarantined_events,
-            "plan_breaker_hits": self.plan_breaker_hits,
-            "breaker_trips": self.breaker_trips,
-            "resumes": self.resumes,
-            "recovered_windows": self.recovered_windows,
-            "replayed_windows": self.replayed_windows,
-            "recovery_s": self.recovery_s,
-            "wal_records": self.wal_records,
-            "checkpoints": self.checkpoints,
-        }
-
     def summary(self) -> str:
         """Human-readable multi-line report (the ``repro serve`` output)."""
         lines = [
@@ -350,7 +289,6 @@ class ServiceStats:
         if (
             self.retries
             or self.windows_failed
-            or self.shed_windows
             or self.quarantined_events
             or self.plan_breaker_hits
             or self.breaker_trips
@@ -358,7 +296,6 @@ class ServiceStats:
             lines.append(
                 f"resilience         {self.retries} retries, "
                 f"{self.windows_failed} windows failed, "
-                f"{self.shed_windows} shed, "
                 f"{self.quarantined_events} events quarantined, "
                 f"breaker {self.breaker_trips} trips / "
                 f"{self.plan_breaker_hits} short-circuits"

@@ -8,14 +8,23 @@ fast while still exercising graph synthesis and the full record path.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.bench import EXIT_CLEAN, EXIT_REGRESSIONS, EXIT_USAGE
 from repro.cli import main
 
-SMOKE_BASELINE = (
-    Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "smoke.json"
-)
+BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+SMOKE_BASELINE = BASELINES / "smoke.json"
 
 FAST = ["--case", "planner/tiling[pm]", "--repeats", "1", "--warmup", "0"]
+
+
+@pytest.fixture(scope="module")
+def smoke_record(tmp_path_factory):
+    """One fresh smoke-suite record, shared by the tests that read it."""
+    path = tmp_path_factory.mktemp("smoke") / "smoke.json"
+    assert main(["bench", "run", "--suite", "smoke", "--json", str(path)]) == 0
+    return path
 
 
 def _run(tmp_path, stem):
@@ -100,12 +109,22 @@ class TestCompare:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().out
 
-    def test_committed_smoke_baseline_matches_fresh_run(self, tmp_path):
+    def test_committed_smoke_baseline_matches_fresh_run(self, smoke_record):
         """The committed smoke baseline gates a fresh smoke run cleanly."""
-        fresh = tmp_path / "smoke.json"
-        assert main(["bench", "run", "--suite", "smoke", "--json", str(fresh)]) == 0
-        code = main(["bench", "compare", str(SMOKE_BASELINE), str(fresh)])
+        code = main(["bench", "compare", str(SMOKE_BASELINE), str(smoke_record)])
         assert code == EXIT_CLEAN
+
+    @pytest.mark.parametrize(
+        "record", ["fresh", "smoke.json", "full.json"]
+    )
+    def test_every_timing_is_in_seconds(self, record, smoke_record):
+        """`bench compare` reads every timing as lower-is-better, so each
+        one is a duration; a rate such as events/s would report a speed-up
+        as a slowdown."""
+        path = smoke_record if record == "fresh" else BASELINES / record
+        for case in json.loads(path.read_text())["cases"]:
+            for metric in case["timings"]:
+                assert metric.endswith("_s"), (case["name"], metric)
 
 
 class TestRunTrace:

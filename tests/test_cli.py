@@ -125,6 +125,45 @@ class TestCommands:
         )
         capsys.readouterr()
 
+    def test_results_json_is_the_serving_report_json(self, tmp_path, capsys):
+        """``--results-json`` writes ``ServingReport.results_json()``."""
+        from repro.core.plan import DGNNSpec
+        from repro.serving import (
+            ServiceConfig,
+            StreamingService,
+            synthetic_event_stream,
+        )
+
+        written = self._serve_results(tmp_path, "cli")
+        capsys.readouterr()
+        stream = synthetic_event_stream(num_vertices=32, num_events=800, seed=7)
+        first, last = stream.time_span
+        report = StreamingService(
+            config=ServiceConfig(window=(last - first) / 32.0)
+        ).serve(stream, DGNNSpec.classic(16, 16))
+        assert written == (report.results_json() + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--wal", "wal"],
+            ["--resume"],
+            ["--checkpoint-interval", "5"],
+            ["--wal-retain", "2"],
+            ["--kill-after-commit", "1"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_chaos_recover_rejects_durability_flags(self, flag, capsys):
+        """The sweep owns each kill point's WAL directory, so the
+        durability flags are a usage error rather than silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["chaos", "recover", "--events", "400", *flag]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestLint:
     def test_clean_path_exits_zero(self, capsys):
@@ -169,26 +208,26 @@ class TestLint:
         out = capsys.readouterr().out
         for rule_id in ("DET001", "DET002", "DET003",
                         "UNIT001", "UNIT002", "UNIT003", "THR001",
-                        "MP001", "MP002", "MP003", "MP004", "MP005"):
+                        "MP001", "MP003"):
             assert rule_id in out
 
     def test_sarif_format(self, capsys):
-        target = LINT_FIXTURES / "dist" / "bad_shmem_leak.py"
+        target = LINT_FIXTURES / "dist" / "bad_unbounded_queue.py"
         assert main(["lint", str(target), "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "MP002" in rule_ids
+        assert "MP003" in rule_ids
         results = run["results"]
-        assert all(r["ruleId"] == "MP002" for r in results)
+        assert all(r["ruleId"] == "MP003" for r in results)
         assert all(r["level"] == "error" for r in results)
         first = results[0]["locations"][0]["physicalLocation"]
         assert first["region"]["startLine"] >= 1
-        assert results[0]["ruleIndex"] == rule_ids.index("MP002")
+        assert results[0]["ruleIndex"] == rule_ids.index("MP003")
 
     def test_sarif_clean_run_has_no_results(self, capsys):
-        target = LINT_FIXTURES / "dist" / "good_shmem_lifecycle.py"
+        target = LINT_FIXTURES / "dist" / "good_bounded_queue.py"
         assert main(["lint", str(target), "--format", "sarif"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["runs"][0]["results"] == []
@@ -196,30 +235,30 @@ class TestLint:
     def test_sarif_out_exports_from_the_gating_run(self, tmp_path, capsys):
         """--sarif-out writes the SARIF report next to the text gate in
         one invocation (CI runs lint once, not twice)."""
-        target = LINT_FIXTURES / "dist" / "bad_shmem_leak.py"
+        target = LINT_FIXTURES / "dist" / "bad_unbounded_queue.py"
         out = tmp_path / "reports" / "lint.sarif"
         assert main(["lint", str(target), "--sarif-out", str(out)]) == 1
         text = capsys.readouterr().out
-        assert "MP002" in text  # the human-readable gate output
+        assert "MP003" in text  # the human-readable gate output
         payload = json.loads(out.read_text())
         assert payload["version"] == "2.1.0"
         assert any(
-            r["ruleId"] == "MP002" for r in payload["runs"][0]["results"]
+            r["ruleId"] == "MP003" for r in payload["runs"][0]["results"]
         )
 
     def test_sarif_out_clean_run_still_writes(self, tmp_path, capsys):
-        target = LINT_FIXTURES / "dist" / "good_shmem_lifecycle.py"
+        target = LINT_FIXTURES / "dist" / "good_bounded_queue.py"
         out = tmp_path / "lint.sarif"
         assert main(["lint", str(target), "--sarif-out", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["runs"][0]["results"] == []
 
     def test_explain_prints_rule_doc_and_example(self, capsys):
-        assert main(["lint", "--explain", "MP002"]) == 0
+        assert main(["lint", "--explain", "MP003"]) == 0
         out = capsys.readouterr().out
-        assert "MP002" in out
-        assert "SharedMemory" in out
-        assert "noqa[MP002]" in out
+        assert "MP003" in out
+        assert "maxsize" in out
+        assert "noqa[MP003]" in out
 
     def test_explain_is_case_insensitive(self, capsys):
         assert main(["lint", "--explain", "mp001"]) == 0
@@ -232,39 +271,48 @@ class TestLint:
 
 
 class TestTrace:
+    """``--trace DIR`` on plan, compare and serve: the one traced path."""
+
     WORKLOAD = ["TW", "--scale", "0.02", "--snapshots", "3"]
 
-    def test_trace_plan_prints_phase_breakdown(self, capsys):
-        assert main(["trace", "plan", *self.WORKLOAD]) == 0
+    def test_trace_plan_prints_phase_breakdown(self, tmp_path, capsys):
+        assert main(
+            ["plan", *self.WORKLOAD, "--trace", str(tmp_path / "t")]
+        ) == 0
         out = capsys.readouterr().out
         assert "%parent" in out
         assert "tiling" in out and "parallelism" in out
 
     def test_trace_plan_exports_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "traces"
-        assert main(
-            ["trace", "plan", *self.WORKLOAD, "--out", str(out_dir)]
-        ) == 0
+        assert main(["plan", *self.WORKLOAD, "--trace", str(out_dir)]) == 0
+        out = capsys.readouterr().out
         from repro.obs import validate_trace_file
 
         assert validate_trace_file(out_dir / "trace.json") == []
-        assert (out_dir / "spans.jsonl").exists()
-        assert (out_dir / "phases.json").exists()
+        for name in ("spans.jsonl", "phases.json", "flame.folded"):
+            assert (out_dir / name).exists()
+            assert f"{out_dir / name}" in out
 
-    def test_trace_compare_covers_simulator_phases(self, capsys):
-        assert main(["trace", "compare", *self.WORKLOAD]) == 0
+    def test_trace_compare_covers_simulator_phases(self, tmp_path, capsys):
+        assert main(
+            ["compare", *self.WORKLOAD, "--trace", str(tmp_path / "t")]
+        ) == 0
         out = capsys.readouterr().out
+        assert "DiTile-DGNN" in out  # the command's own table
         for phase in ("simulate", "snapshot", "noc", "dram"):
             assert phase in out
 
-    def test_trace_serve_synthetic(self, capsys):
+    def test_trace_serve_synthetic(self, tmp_path, capsys):
         assert main(
-            ["trace", "serve", "--events", "200", "--vertices", "48",
-             "--workers", "0"]
+            ["serve", "--events", "200", "--vertices", "48",
+             "--workers", "0", "--trace", str(tmp_path / "t")]
         ) == 0
         out = capsys.readouterr().out
         assert "windows served" in out
         assert "serve" in out and "resolve" in out
+        # SLOs are evaluated only when --slo-json asks for the artifact.
+        assert "SLO" not in out
 
     def test_trace_flag_on_plan(self, tmp_path, capsys):
         out_dir = tmp_path / "t"
@@ -286,50 +334,41 @@ class TestTrace:
         assert "windows served" in out
         assert (out_dir / "trace.json").exists()
 
-    def test_trace_requires_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace"])
-
-    def test_trace_format_json_rows_are_name_sorted(self, capsys):
-        assert main(
-            ["trace", "plan", *self.WORKLOAD, "--format", "json"]
-        ) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
-        names = [c["name"] for c in payload["phases"]["children"]]
-        assert names == sorted(names)
+    def test_trace_phases_json_rows_are_name_sorted(self, tmp_path, capsys):
+        out_dir = tmp_path / "t"
+        assert main(["plan", *self.WORKLOAD, "--trace", str(out_dir)]) == 0
+        capsys.readouterr()
+        payload = json.loads((out_dir / "phases.json").read_text())
         assert set(payload) == {"phases", "metrics"}
 
-    def test_trace_text_sort_name_is_stable(self, capsys):
-        rows = []
-        for _ in range(2):
-            assert main(
-                ["trace", "plan", *self.WORKLOAD, "--sort", "name"]
-            ) == 0
-            out = capsys.readouterr().out
-            table = out[out.index("%parent"):]
-            rows.append(
-                [line.split()[0] for line in table.splitlines()[1:]
-                 if line and not line.startswith(("trace ", "gauge",
-                                                 "counter"))]
+        def names_sorted(node):
+            names = [c["name"] for c in node["children"]]
+            return names == sorted(names) and all(
+                names_sorted(c) for c in node["children"]
             )
-        assert rows[0] == rows[1]
+
+        assert payload["phases"]["children"]
+        assert names_sorted(payload["phases"])
 
     def test_trace_serve_exports_trace_and_slo(self, tmp_path, capsys):
         out_dir = tmp_path / "t"
         assert main(
-            ["trace", "serve", "--events", "600", "--vertices", "48",
+            ["serve", "--events", "600", "--vertices", "48",
              "--pipeline-depth", "2",
-             "--out", str(out_dir), "--slo-json", str(out_dir / "slo.json")]
+             "--trace", str(out_dir), "--slo-json", str(out_dir / "slo.json")]
         ) == 0
         out = capsys.readouterr().out
         assert "SLO OK" in out
+        from repro.obs import validate_trace_file
+
+        assert validate_trace_file(out_dir / "trace.json") == []
+        for name in ("spans.jsonl", "phases.json", "flame.folded"):
+            assert (out_dir / name).exists()
         payload = json.loads((out_dir / "trace.json").read_text())
         pids = {
             e["pid"] for e in payload["traceEvents"] if e.get("ph") == "X"
         }
         assert pids == {0}
-        assert (out_dir / "flame.folded").exists()
         assert json.loads((out_dir / "slo.json").read_text())["healthy"]
 
 

@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import _window_results_json
 from repro.core.plan import DGNNSpec
 from repro.durability import (
     Checkpoint,
@@ -69,7 +68,7 @@ def config():
 def reference_json(stream, config):
     """Per-window results of the uninterrupted, non-durable run."""
     report = StreamingService(config=config).serve(stream, SPEC)
-    return _window_results_json(report)
+    return report.results_json()
 
 
 def _events(n, start=0.0, step=1.0):
@@ -352,7 +351,7 @@ class TestDurableServing:
             durability=DurabilityConfig(directory=tmp_path, fsync=False),
         )
         report = _serve(stream, durable)
-        assert _window_results_json(report) == reference_json
+        assert report.results_json() == reference_json
         assert report.stats.wal_records == stream.num_events
         assert report.stats.checkpoints == len(report.results)
         assert report.stats.resumes == 0
@@ -405,7 +404,7 @@ class TestDurableServing:
             report = _serve(stream, durable)
         finally:
             sys.setswitchinterval(switch)
-        assert _window_results_json(report) == reference_json
+        assert report.results_json() == reference_json
         _, records = WriteAheadLog.open(durable.durability.wal_dir, fsync=False)
         assert records == list(enumerate(stream.events))
 
@@ -428,7 +427,7 @@ class TestDurableServing:
         cfg = replace(config, pipeline_depth=depth)
         reference = reference_json
         if depth != config.pipeline_depth:
-            reference = _window_results_json(_serve(stream, cfg))
+            reference = _serve(stream, cfg).results_json()
         crash = replace(
             cfg,
             durability=DurabilityConfig(
@@ -446,7 +445,7 @@ class TestDurableServing:
                 ),
             ),
         )
-        assert _window_results_json(resumed) == reference
+        assert resumed.results_json() == reference
         assert resumed.stats.resumes == 1
         assert resumed.stats.recovered_windows == kill_point + 1
 
@@ -476,7 +475,7 @@ class TestDurableServing:
                 ),
             ),
         )
-        assert _window_results_json(resumed) == reference_json
+        assert resumed.results_json() == reference_json
         # Watermark snaps back to the last checkpoint cadence boundary.
         assert resumed.stats.recovered_windows == 4
         assert resumed.stats.replayed_windows >= 3
@@ -506,7 +505,7 @@ class TestDurableServing:
                 ),
             ),
         )
-        assert _window_results_json(resumed) == reference_json
+        assert resumed.results_json() == reference_json
         assert resumed.stats.recovered_windows == 10
         assert resumed.stats.replayed_windows == 0
 
@@ -527,7 +526,7 @@ class TestDurableServing:
                 ),
             ),
         )
-        assert _window_results_json(resumed) == reference_json
+        assert resumed.results_json() == reference_json
         assert resumed.stats.recovered_windows == len(resumed.results)
 
     @pytest.mark.parametrize(
@@ -577,7 +576,7 @@ class TestDurableServing:
                 ),
             ),
         )
-        assert _window_results_json(resumed) == reference_json
+        assert resumed.results_json() == reference_json
         assert resumed.stats.recovered_windows == 0
 
     def test_resume_with_quarantined_poison(self, stream, config, tmp_path):
@@ -607,7 +606,7 @@ class TestDurableServing:
                 ),
             ),
         )
-        assert _window_results_json(resumed) == _window_results_json(reference)
+        assert resumed.results_json() == reference.results_json()
         assert (
             resumed.stats.quarantined_events
             == reference.stats.quarantined_events
@@ -707,11 +706,3 @@ class TestDurabilityConfig:
         assert cfg.wal_dir == tmp_path / "wal"
         assert cfg.checkpoint_dir == tmp_path / "checkpoints"
         assert cfg.lock_path == tmp_path / "LOCK"
-
-    def test_load_shedding_is_incompatible(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(
-                window=1.0,
-                load_shedding=True,
-                durability=DurabilityConfig(directory="x"),
-            )

@@ -13,7 +13,6 @@ from repro.analysis import (
     fixpoint,
     solve_forward,
 )
-from repro.analysis.cfg import IMPLICIT, RETURN_NONE, RETURN_VALUE
 
 
 def cfg_of(src: str):
@@ -50,21 +49,8 @@ class TestCFGBuilder:
         cfg = cfg_of("def f():\n    a()\n    b()\n")
         b = node_for(cfg, is_call_named("b"))
         assert cfg.exit in cfg.succ[b.index]
-        assert cfg.exit_kinds[b.index] == IMPLICIT
         # No try/with anywhere: nothing can reach the raise exit.
         assert cfg.pred[cfg.raise_exit] == set()
-
-    def test_return_kinds_are_classified(self):
-        cfg = cfg_of(
-            """
-            def f(flag):
-                if flag:
-                    return 1
-                return None
-            """
-        )
-        kinds = sorted(cfg.exit_kinds.values())
-        assert kinds == sorted([RETURN_VALUE, RETURN_NONE])
 
     def test_if_branches_rejoin(self):
         cfg = cfg_of(
@@ -253,38 +239,6 @@ class TestCFGBuilder:
         assert cfg.evaluated_exprs(test) == [test.stmt.test]
 
 
-class TestPostdominators:
-    def test_finally_postdominates_try_body(self):
-        cfg = cfg_of(
-            """
-            def f():
-                try:
-                    work()
-                finally:
-                    cleanup()
-            """
-        )
-        work = node_for(cfg, is_call_named("work"))
-        cleanup = node_for(cfg, is_call_named("cleanup"))
-        post = cfg.postdominators()
-        assert cleanup.index in post[work.index]
-
-    def test_branch_arm_does_not_postdominate_entry(self):
-        cfg = cfg_of(
-            """
-            def f(flag):
-                if flag:
-                    a()
-                b()
-            """
-        )
-        a = node_for(cfg, is_call_named("a"))
-        b = node_for(cfg, is_call_named("b"))
-        post = cfg.postdominators()
-        assert a.index not in post[cfg.entry]
-        assert b.index in post[cfg.entry]
-
-
 # ---------------------------------------------------------------------------
 # Dataflow solving
 # ---------------------------------------------------------------------------
@@ -333,7 +287,7 @@ class TestSolver:
             """
         )
         transfer, join = make_tracker()
-        state_in, _ = solve_forward(cfg, transfer, {}, join)
+        state_in = solve_forward(cfg, transfer, {}, join)
         assert state_in[cfg.exit]["x"] == "closed"
         assert state_in[cfg.raise_exit]["x"] == "closed"
 
@@ -350,7 +304,7 @@ class TestSolver:
             """
         )
         transfer, join = make_tracker()
-        state_in, _ = solve_forward(cfg, transfer, {}, join)
+        state_in = solve_forward(cfg, transfer, {}, join)
         # The except arm skipped the close; the join keeps the leak.
         assert state_in[cfg.exit]["x"] == "created"
         # An exception before the close leaves the function un-closed.
@@ -368,7 +322,7 @@ class TestSolver:
             """
         )
         transfer, join = make_tracker()
-        state_in, _ = solve_forward(cfg, transfer, {}, join)
+        state_in = solve_forward(cfg, transfer, {}, join)
         # Zero iterations (or the false arm) never closes: the join at
         # the loop head must keep "created" despite the closing path.
         assert state_in[cfg.exit]["x"] == "created"
@@ -376,7 +330,7 @@ class TestSolver:
     def test_no_try_means_raise_exit_unreachable(self):
         cfg = cfg_of("def f(name):\n    x = create(name)\n    x.close()\n")
         transfer, join = make_tracker()
-        state_in, _ = solve_forward(cfg, transfer, {}, join)
+        state_in = solve_forward(cfg, transfer, {}, join)
         assert cfg.raise_exit not in state_in
         assert state_in[cfg.exit]["x"] == "closed"
 

@@ -1,5 +1,6 @@
-"""Fixture-driven and in-memory tests for the MP001–MP005 process-safety
-rules, which all run on the shared CFG/dataflow/call-graph engine."""
+"""Fixture-driven and in-memory tests for the MP001 and MP003
+process-safety rules, which run on the shared CFG/dataflow/call-graph
+engine."""
 
 from pathlib import Path
 
@@ -31,10 +32,7 @@ class TestFixtures:
         "relpath, expected",
         [
             ("dist/bad_fork_after_threads.py", ["MP001"]),
-            ("dist/bad_shmem_leak.py", ["MP002"] * 4),
             ("dist/bad_unbounded_queue.py", ["MP003"] * 2),
-            ("dist/bad_unsafe_message.py", ["MP004"] * 2),
-            ("dist/bad_untagged_message.py", ["MP005"]),
         ],
     )
     def test_bad_fixture_fires_exactly_its_rule(self, relpath, expected):
@@ -46,22 +44,13 @@ class TestFixtures:
         "relpath",
         [
             "dist/good_fork_before_threads.py",
-            "dist/good_shmem_lifecycle.py",
             "dist/good_bounded_queue.py",
-            "dist/good_safe_message.py",
-            "dist/good_tagged_message.py",
         ],
     )
     def test_good_fixture_is_clean(self, relpath):
         report = lint_fixture(relpath)
         assert report.findings == []
         assert report.exit_code == 0
-
-    def test_seeded_shmem_bugs_detected_at_creation_lines(self):
-        """The write_segment-skips-unlink seedings anchor deterministically."""
-        report = lint_fixture("dist/bad_shmem_leak.py")
-        lines = sorted(f.line for f in report.findings)
-        assert lines == [13, 21, 31, 31]
 
 
 # ---------------------------------------------------------------------------
@@ -126,102 +115,6 @@ class TestForkAfterThreads:
 
 
 # ---------------------------------------------------------------------------
-# MP002 — shared-memory segment lifecycle
-# ---------------------------------------------------------------------------
-class TestShmemLifecycle:
-    def test_close_then_unlink_in_finally_is_clean(self):
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def roundtrip(name, size):\n"
-            "    shm = shared_memory.SharedMemory(name=name, create=True, size=size)\n"
-            "    try:\n"
-            "        shm.buf[0] = 1\n"
-            "    finally:\n"
-            "        shm.close()\n"
-            "        shm.unlink()\n"
-        )
-        assert report.findings == []
-
-    def test_returning_the_segment_is_a_handoff(self):
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def make(name, size):\n"
-            "    shm = shared_memory.SharedMemory(name=name, create=True, size=size)\n"
-            "    return shm\n"
-        )
-        assert report.findings == []
-
-    def test_passing_to_a_callee_is_an_escape(self):
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def make(name, size, registry):\n"
-            "    shm = shared_memory.SharedMemory(name=name, create=True, size=size)\n"
-            "    registry.track(shm)\n"
-        )
-        assert report.findings == []
-
-    def test_attribute_reads_are_not_escapes(self):
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def leak(name, size, log):\n"
-            "    shm = shared_memory.SharedMemory(name=name, create=True, size=size)\n"
-            "    log.info(shm.name)\n"
-        )
-        assert fired(report) == ["MP002"]
-
-    def test_attach_side_open_is_not_tracked(self):
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def read(name):\n"
-            "    shm = shared_memory.SharedMemory(name=name)\n"
-            "    return bytes(shm.buf)\n"
-        )
-        assert report.findings == []
-
-    def test_close_without_unlink_on_raise_path_is_accepted(self):
-        # Exceptional exits only require close(); unlink responsibility
-        # may rest with the coordinator.  A catch-all handler guarantees
-        # the close on every raising path.
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def fill(name, size, payload):\n"
-            "    shm = shared_memory.SharedMemory(name=name, create=True, size=size)\n"
-            "    try:\n"
-            "        shm.buf[: len(payload)] = payload\n"
-            "    except BaseException:\n"
-            "        shm.close()\n"
-            "        raise\n"
-            "    shm.close()\n"
-            "    shm.unlink()\n"
-        )
-        assert report.findings == []
-
-    def test_narrow_except_does_not_guarantee_the_close(self):
-        # ``except ValueError`` lets any other exception escape with the
-        # segment still open, so the exceptional path is still flagged.
-        report = lint_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def fill(name, size, payload):\n"
-            "    shm = shared_memory.SharedMemory(name=name, create=True, size=size)\n"
-            "    try:\n"
-            "        shm.buf[: len(payload)] = payload\n"
-            "    except ValueError:\n"
-            "        shm.close()\n"
-            "        raise\n"
-            "    shm.close()\n"
-            "    shm.unlink()\n"
-        )
-        assert fired(report) == ["MP002"]
-
-
-# ---------------------------------------------------------------------------
 # MP003 — queue discipline
 # ---------------------------------------------------------------------------
 class TestQueueDiscipline:
@@ -254,89 +147,6 @@ class TestQueueDiscipline:
             "def drain(q):\n    return q.get_nowait()\n"
         )
         assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
-# MP004 — message picklability / ordering
-# ---------------------------------------------------------------------------
-class TestMessagePicklability:
-    def test_set_literal_put_directly_is_flagged(self):
-        report = lint_text(
-            "def send(q, a, b):\n    q.put({a, b})\n"
-        )
-        assert fired(report) == ["MP004"]
-
-    def test_put_nowait_is_also_checked(self):
-        report = lint_text(
-            "def send(q, items):\n    q.put_nowait(set(items))\n"
-        )
-        assert fired(report) == ["MP004"]
-
-    def test_message_constructor_args_are_checked(self):
-        report = lint_text(
-            "import threading\n"
-            "\n"
-            "def build(done):\n"
-            "    return WindowDoneMessage(guard=threading.Lock(), done=done)\n"
-        )
-        assert fired(report) == ["MP004"]
-
-    def test_sorted_set_is_clean(self):
-        report = lint_text(
-            "def send(q, items):\n"
-            "    pending = set(items)\n"
-            "    q.put(sorted(pending))\n"
-        )
-        assert report.findings == []
-
-    def test_rebinding_to_safe_value_clears_taint(self):
-        report = lint_text(
-            "def send(q, items):\n"
-            "    payload = set(items)\n"
-            "    payload = sorted(items)\n"
-            "    q.put(payload)\n"
-        )
-        assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
-# MP005 — generation tags on message classes
-# ---------------------------------------------------------------------------
-class TestGenerationTag:
-    def test_annotated_field_satisfies_the_rule(self):
-        report = lint_text(
-            "from dataclasses import dataclass\n"
-            "\n"
-            "@dataclass\n"
-            "class StatsMessage:\n"
-            "    generation: int\n"
-            "    total: float\n"
-        )
-        assert report.findings == []
-
-    def test_inherited_field_from_same_module_base(self):
-        report = lint_text(
-            "class Base:\n"
-            "    generation: int\n"
-            "\n"
-            "class ResultMessage(Base):\n"
-            "    value: float\n"
-        )
-        assert report.findings == []
-
-    def test_non_message_class_is_ignored(self):
-        report = lint_text(
-            "class WindowPlanner:\n"
-            "    horizon: int\n"
-        )
-        assert report.findings == []
-
-    def test_missing_tag_is_flagged(self):
-        report = lint_text(
-            "class AckMessage:\n"
-            "    shard: int\n"
-        )
-        assert fired(report) == ["MP005"]
 
 
 # ---------------------------------------------------------------------------

@@ -497,7 +497,6 @@ class TestSLO:
         assert payload["healthy"] is True
         assert {t["metric"] for t in payload["targets"]} == {
             "p95_latency_s",
-            "shed_rate",
             "restarts",
             "overlap_ratio",
         }
@@ -513,9 +512,15 @@ class TestEmptyRunStats:
         assert "p95=0.00 ms" in text
 
     def test_as_dict_on_empty_run_is_all_finite(self):
-        values = ServiceStats().as_dict()
-        for name, value in values.items():
+        stats = ServiceStats()
+        derived = [
+            name
+            for name, attr in vars(ServiceStats).items()
+            if isinstance(attr, property) and name != "latencies"
+        ]
+        assert "overlap_ratio" in derived and "plan_hit_rate" in derived
+        for name in derived:
+            value = getattr(stats, name)
             assert value == value and abs(value) != float("inf"), name
-        assert values["p95_latency_s"] == 0.0
-        assert values["overlap_ratio"] == 0.0
-        assert values["shed_rate"] == 0.0
+        assert stats.p95_latency_s == 0.0
+        assert stats.overlap_ratio == 0.0

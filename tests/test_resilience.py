@@ -475,7 +475,6 @@ class TestServingResilience:
         stats = report.stats
         assert stats.retries == 0
         assert stats.windows_failed == 0
-        assert stats.shed_windows == 0
         assert stats.quarantined_events == 0
         assert stats.plan_breaker_hits == 0
         assert stats.breaker_trips == 0

@@ -507,11 +507,8 @@ class TestWindowPipeline:
         assert stats.prefetch_stall_s >= 0.0
         assert stats.collect_stall_s >= 0.0
         assert 0.0 <= stats.overlap_ratio <= 1.0
-        as_dict = stats.as_dict()
-        for key in ("pipeline_depth", "max_inflight_batches",
-                    "prefetch_stall_s", "collect_stall_s", "overlap_ratio",
-                    "profile_reuses"):
-            assert key in as_dict
+        assert stats.pipeline_depth == 2
+        assert 1 <= stats.max_inflight_batches <= 2
         assert "pipeline" in stats.summary()
 
     def test_overlap_ratio_edge_cases(self):

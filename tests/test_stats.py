@@ -90,12 +90,7 @@ class TestServiceStatsTelemetry:
         stats = ServiceStats()
         assert stats.plan_resolve_s == 0.0
         assert stats.execute_s == 0.0
-        stats.plan_resolve_s = 0.25
-        stats.execute_s = 1.5
-        exported = stats.as_dict()
-        assert exported["plan_resolve_s"] == 0.25
-        assert exported["execute_s"] == 1.5
-        assert "p95_queue_depth" in exported
+        assert stats.p95_queue_depth == 0.0
 
     def test_summary_reports_phase_time_split(self):
         stats = ServiceStats()
