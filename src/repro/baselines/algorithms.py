@@ -37,7 +37,6 @@ from ..accel.dram import DRAMTraffic
 from ..accel.metrics import CostSummary, SnapshotCosts
 from ..accel.noc import NoCTraffic
 from ..core.plan import DGNNSpec
-from ..graphs.delta import delta_counts, snapshot_edge_keys
 from ..graphs.dynamic import DynamicGraph
 from ..models.workload import gcn_ops, rnn_ops
 
@@ -151,23 +150,18 @@ class SnapshotQuantities:
 def measure_quantities(graph: DynamicGraph) -> List[SnapshotQuantities]:
     """Extract the per-snapshot quantities from a dynamic graph.
 
-    Only delta *sizes* are needed here, so the scan encodes each
-    snapshot's edges once against a shared id space and counts key
-    differences (:func:`~repro.graphs.delta.delta_counts`) instead of
-    materializing a full :func:`~repro.graphs.delta.snapshot_delta` per
-    transition — the measured hot path of every cost-model build.
+    Delta sizes and dissimilarity both come from the graph's memoized
+    transition delta (:meth:`~repro.graphs.dynamic.DynamicGraph.transition_delta`),
+    so a graph that was handed its deltas is measured in O(delta).
     """
     quantities = []
-    id_space = max(int(graph.max_vertices), 1)
-    prev_keys = None
     for t, snapshot in enumerate(graph):
-        keys = snapshot_edge_keys(snapshot, id_space)
         if t == 0:
             added, removed, dis = snapshot.num_edges, 0, 1.0
         else:
-            added, removed = delta_counts(prev_keys, keys)
+            delta = graph.transition_delta(t)
+            added, removed = delta.num_added, delta.num_removed
             dis = graph.dissimilarity(t)
-        prev_keys = keys
         quantities.append(
             SnapshotQuantities(
                 timestamp=t,

@@ -74,10 +74,9 @@ class RedundancyAnalysis:
                     np.arange(snapshot.num_vertices, dtype=np.int64)
                 ] * gnn_layers
             else:
-                affected = [
-                    snapshot.k_hop_affected(changed, l + 1)
-                    for l in range(gnn_layers)
-                ]
+                # Layer l+1 reads the (l+1)-hop neighbourhood: one walk
+                # records every layer's set.
+                affected = snapshot.k_hop_walk(changed, gnn_layers)[1:]
             transitions.append(
                 TransitionRedundancy(
                     timestamp=t,

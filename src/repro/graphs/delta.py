@@ -15,19 +15,20 @@ operation-counting models (:mod:`repro.baselines.algorithms`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from .dynamic import DynamicGraph
-from .snapshot import GraphSnapshot
+from .snapshot import GraphSnapshot, sorted_unique
+
+if TYPE_CHECKING:  # pragma: no cover - type-only; dynamic imports this module
+    from .dynamic import DynamicGraph
 
 __all__ = [
     "SnapshotDelta",
     "snapshot_delta",
     "snapshot_edge_keys",
     "sorted_isin",
-    "delta_counts",
     "apply_delta",
     "common_core",
     "AdditionOnlyStep",
@@ -46,9 +47,9 @@ def snapshot_edge_keys(snapshot: GraphSnapshot, id_space: int) -> np.ndarray:
     """Public :func:`_edge_keys`: sorted int64 edge keys under ``id_space``.
 
     Any ``id_space > max vertex id`` gives an injective, order-preserving
-    encoding, so callers diffing a whole snapshot sequence can compute one
-    key array per snapshot against a shared id space instead of one per
-    transition (see :func:`repro.baselines.algorithms.measure_quantities`).
+    encoding, so keys of snapshots with different vertex counts compare
+    directly under a shared id space (see
+    :meth:`repro.serving.ingest.IncrementalWindowBuilder.close_window`).
     """
     if id_space < max(snapshot.num_vertices, 1):
         raise ValueError(
@@ -74,29 +75,6 @@ def sorted_isin(values: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _locate(table: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Insertion points of ``values`` in sorted ``table``, and which are present."""
     return np.searchsorted(table, values), sorted_isin(values, table)
-
-
-def _unique_keys(keys: np.ndarray) -> np.ndarray:
-    """``keys`` sorted with duplicates dropped.
-
-    A sort plus a neighbour comparison.  On NumPy 2.4 ``np.unique`` is an
-    order of magnitude slower, even on the ~1k keys a window delta holds.
-    """
-    keys = np.sort(np.asarray(keys, dtype=np.int64))
-    if len(keys) > 1:
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys
-
-
-def delta_counts(prev_keys: np.ndarray, cur_keys: np.ndarray) -> Tuple[int, int]:
-    """``(added, removed)`` edge counts between two sorted key arrays.
-
-    The count-only fast path for callers that need delta *sizes* but not
-    the edge endpoints: one membership probe yields the intersection
-    cardinality, from which both counts follow.
-    """
-    shared = int(np.count_nonzero(sorted_isin(cur_keys, prev_keys)))
-    return len(cur_keys) - shared, len(prev_keys) - shared
 
 
 def _keys_to_arrays(keys: np.ndarray, id_space: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -133,8 +111,8 @@ class SnapshotDelta:
         return self.num_added + self.num_removed
 
     def touched_vertices(self) -> np.ndarray:
-        """Destination vertices whose in-neighbour row changed."""
-        return np.unique(np.concatenate([self.added_dst, self.removed_dst]))
+        """Destination vertices whose in-neighbour row changed, sorted."""
+        return sorted_unique(np.concatenate([self.added_dst, self.removed_dst]))
 
 
 def snapshot_delta(prev: GraphSnapshot, cur: GraphSnapshot) -> SnapshotDelta:
@@ -187,8 +165,8 @@ def apply_delta(
     num_vertices = max_id + 1
     id_space = max(num_vertices, 1)
     keys = _edge_keys(prev, id_space)
-    added = _unique_keys(delta.added_dst * id_space + delta.added_src)
-    removed = _unique_keys(delta.removed_dst * id_space + delta.removed_src)
+    added = sorted_unique(delta.added_dst * id_space + delta.added_src)
+    removed = sorted_unique(delta.removed_dst * id_space + delta.removed_src)
     removed = removed[~sorted_isin(removed, added)]  # added wins: ends present
     drop, present = _locate(keys, removed)
     drop = drop[present]

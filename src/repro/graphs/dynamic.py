@@ -5,6 +5,12 @@ module provides the similarity analysis the paper's redundancy-free machinery
 depends on: which vertices changed between consecutive snapshots, the
 dissimilarity rate ``Dis`` (paper §4.2, Eq. 14), and the L-hop *affected*
 sets that bound how far a change propagates through an L-layer GNN.
+
+Every one of them is read off one exact edge delta per transition
+(:meth:`DynamicGraph.transition_delta`).  The delta is diffed from the two
+snapshots on first use, unless the caller already holds it: the streaming
+service hands each window's ingest delta over, so a served window is
+analysed in O(delta), not O(edges).
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..caching import LRUCache
-from .snapshot import GraphSnapshot
+from . import delta as _delta
+from .snapshot import GraphSnapshot, sorted_unique
 
 __all__ = ["DynamicGraph", "DynamicGraphStats"]
 
@@ -51,9 +58,9 @@ class DynamicGraph:
     contains it.
     """
 
-    #: default bound on the per-transition changed-vertex memo; snapshots
-    #: are indexed ``0..T-1``, so this only bites for very long histories
-    #: (e.g. graphs grown indefinitely by a streaming service)
+    #: default bound on the per-transition delta memo that change detection
+    #: reads; snapshots are indexed ``0..T-1``, so this only bites for very
+    #: long histories (e.g. graphs grown indefinitely by a streaming service)
     DEFAULT_CHANGED_CACHE_CAPACITY = 1024
 
     def __init__(
@@ -68,11 +75,9 @@ class DynamicGraph:
         feature_dims = {s.feature_dim for s in snapshots}
         if len(feature_dims) != 1:
             raise ValueError(f"snapshots disagree on feature_dim: {feature_dims}")
+        # Each snapshot was validated when it was built: re-stamp it only.
         self.snapshots: List[GraphSnapshot] = [
-            GraphSnapshot(
-                s.num_vertices, s.indptr, s.indices, s.feature_dim, t, s.features
-            )
-            for t, s in enumerate(snapshots)
+            s.restamped(t) for t, s in enumerate(snapshots)
         ]
         self.name = name
         if changed_cache_capacity is None:
@@ -109,38 +114,61 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # Change / similarity analysis
     # ------------------------------------------------------------------
+    def transition_delta(self, t: int) -> _delta.SnapshotDelta:
+        """The exact edge delta from snapshot ``t-1`` to ``t`` (``t >= 1``).
+
+        Memoized per transition: a delta given to :meth:`supply_delta`, or
+        else :func:`~repro.graphs.delta.snapshot_delta` of the two
+        snapshots, computed on first use.
+        """
+        if not 1 <= t < self.num_snapshots:
+            raise IndexError(f"no transition into snapshot {t}")
+        delta = self._changed_cache.get(t)
+        if delta is None:
+            delta = _delta.snapshot_delta(self.snapshots[t - 1], self.snapshots[t])
+            self._changed_cache.put(t, delta)
+        return delta
+
+    def supply_delta(self, t: int, delta: _delta.SnapshotDelta) -> None:
+        """Memoize ``delta`` as the transition ``t-1 -> t``.
+
+        ``delta`` must equal ``snapshot_delta(self[t-1], self[t])``, as a
+        streaming window's ingest delta does; only its edge count is
+        checked here.
+        """
+        if not 1 <= t < self.num_snapshots or (
+            self.snapshots[t - 1].num_edges + delta.num_added - delta.num_removed
+            != self.snapshots[t].num_edges
+        ):
+            raise ValueError(f"delta does not lead from snapshot {t - 1} to {t}")
+        self._changed_cache.put(t, delta)
+
     def changed_vertices(self, t: int) -> np.ndarray:
         """Vertices whose in-neighbour row differs between ``t-1`` and ``t``.
 
         For ``t == 0`` every vertex counts as changed (everything must be
         computed for the first snapshot).  A vertex also counts as changed
-        when it exists in only one of the two snapshots, or when its input
-        features changed (for feature-carrying graphs).
+        when it exists in only snapshot ``t``, or when its input features
+        changed (for feature-carrying graphs).  The rows are compared
+        exactly: they are the destinations of the transition's edge delta.
         """
-        cached = self._changed_cache.get(t)
-        if cached is not None:
-            return cached
+        cur = self.snapshots[t]
         if t == 0:
-            result = np.arange(self.snapshots[0].num_vertices, dtype=np.int64)
-            self._changed_cache.put(t, result)
-            return result
-        prev, cur = self.snapshots[t - 1], self.snapshots[t]
+            return np.arange(cur.num_vertices, dtype=np.int64)
+        prev = self.snapshots[t - 1]
         common = min(prev.num_vertices, cur.num_vertices)
-        prev_keys = prev.row_keys()[:common]
-        cur_keys = cur.row_keys()[:common]
-        changed_mask = prev_keys != cur_keys
+        touched = self.transition_delta(t).touched_vertices()
+        changed = touched[: np.searchsorted(touched, common)]
         if prev.features is not None and cur.features is not None:
             feature_diff = np.any(
                 prev.features[:common] != cur.features[:common], axis=1
             )
-            changed_mask = changed_mask | feature_diff
-        changed = np.flatnonzero(changed_mask).astype(np.int64)
-        if cur.num_vertices > common:
-            changed = np.concatenate(
-                [changed, np.arange(common, cur.num_vertices, dtype=np.int64)]
+            changed = sorted_unique(
+                np.concatenate([changed, np.flatnonzero(feature_diff)])
             )
-        self._changed_cache.put(t, changed)
-        return changed
+        return np.concatenate(
+            [changed, np.arange(common, cur.num_vertices, dtype=np.int64)]
+        )
 
     def dissimilarity(self, t: int) -> float:
         """Fraction of snapshot ``t`` vertices changed since ``t-1`` (``Dis_t``)."""

@@ -13,11 +13,23 @@ expressed by building a new snapshot (see :mod:`repro.graphs.generators` and
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["GraphSnapshot"]
+__all__ = ["GraphSnapshot", "sorted_unique"]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``values`` as int64, sorted, with duplicates dropped.
+
+    A sort plus a neighbour comparison.  On NumPy 2.4 ``np.unique`` is an
+    order of magnitude slower, even on the ~1k ids a window delta holds.
+    """
+    values = np.sort(np.asarray(values, dtype=np.int64))
+    if len(values) > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
 
 
 class GraphSnapshot:
@@ -178,6 +190,21 @@ class GraphSnapshot:
         """The dense feature matrix, or ``None`` for structure-only snapshots."""
         return self._features
 
+    def restamped(self, timestamp: int) -> "GraphSnapshot":
+        """This snapshot at ``timestamp``, sharing its arrays and cached
+        out-degree.
+
+        The snapshot was validated when it was built, so the copy is not
+        validated again.
+        """
+        if timestamp == self.timestamp:
+            return self
+        copy = GraphSnapshot.__new__(GraphSnapshot)
+        for slot in self.__slots__:
+            setattr(copy, slot, getattr(self, slot))
+        copy.timestamp = int(timestamp)
+        return copy
+
     def with_features(self, features: np.ndarray) -> "GraphSnapshot":
         """Return a copy of this snapshot carrying ``features``."""
         return GraphSnapshot(
@@ -232,20 +259,6 @@ class GraphSnapshot:
             for src in self.in_neighbors(dst):
                 yield int(src), dst
 
-    def row_keys(self) -> np.ndarray:
-        """Per-vertex hash of the in-neighbour row, for fast row comparison."""
-        keys = np.zeros(self.num_vertices, dtype=np.uint64)
-        if self.num_edges == 0:
-            return keys
-        # A simple order-dependent polynomial hash; rows are sorted so the
-        # hash identifies the row as a set.
-        mixed = (self.indices.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(
-            0xBF58476D1CE4E5B9
-        )
-        np.add.at(keys, np.repeat(np.arange(self.num_vertices), np.diff(self.indptr)), mixed)
-        degrees = np.diff(self.indptr).astype(np.uint64)
-        return keys ^ (degrees * np.uint64(0x94D049BB133111EB))
-
     # ------------------------------------------------------------------
     # Neighbourhood expansion
     # ------------------------------------------------------------------
@@ -264,19 +277,32 @@ class GraphSnapshot:
         member[vertices] = True
         hit = member[self.indices]
         dst = np.repeat(np.arange(self.num_vertices), np.diff(self.indptr))
-        return np.unique(dst[hit])
+        return sorted_unique(dst[hit])
 
-    def k_hop_affected(self, seeds: np.ndarray, hops: int) -> np.ndarray:
-        """Union of ``seeds`` with every vertex within ``hops`` out-steps."""
-        affected = np.unique(np.asarray(seeds, dtype=np.int64))
+    def k_hop_walk(self, seeds: np.ndarray, hops: int) -> List[np.ndarray]:
+        """The affected set after each of ``0..hops`` out-steps from ``seeds``.
+
+        Entry ``h`` is the union of ``seeds`` with every vertex within
+        ``h`` out-steps, so an L-layer GNN reads all L layers' invalidated
+        sets off one walk.  A hop that adds nothing is a fixed point, and
+        the remaining entries repeat it.
+        """
+        affected = sorted_unique(seeds)
+        walk = [affected]
         frontier = affected
         for _ in range(hops):
             frontier = self.expand_frontier(frontier)
-            new = np.setdiff1d(frontier, affected, assume_unique=False)
+            new = frontier[~np.isin(frontier, affected, assume_unique=True)]
             if len(new) == 0:
                 break
-            affected = np.union1d(affected, new)
-        return affected
+            # disjoint and each duplicate-free: the sorted union is unique
+            affected = np.sort(np.concatenate([affected, new]))
+            walk.append(affected)
+        return walk + [affected] * (hops + 1 - len(walk))
+
+    def k_hop_affected(self, seeds: np.ndarray, hops: int) -> np.ndarray:
+        """Union of ``seeds`` with every vertex within ``hops`` out-steps."""
+        return self.k_hop_walk(seeds, hops)[-1]
 
     # ------------------------------------------------------------------
     # Linear-algebra helpers for the numeric models

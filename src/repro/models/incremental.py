@@ -98,14 +98,14 @@ class IncrementalDGNN:
                 seeds = graph.changed_vertices(t)
                 stats.changed_seeds.append(len(seeds))
                 per_layer_counts = []
-                affected = seeds
+                # Rows of layer l whose value may differ from t-1: the
+                # seeds plus everything within l+1 out-hops (degree
+                # renormalization makes even feature-unchanged seeds
+                # perturb their out-neighbours).
+                walk = snapshot.k_hop_walk(seeds, gnn.num_layers)
                 prev_input = x
                 for l, layer in enumerate(gnn.layers):
-                    # Rows of layer l whose value may differ from t-1: the
-                    # seeds plus everything within l+1 out-hops (degree
-                    # renormalization makes even feature-unchanged seeds
-                    # perturb their out-neighbours).
-                    affected = snapshot.k_hop_affected(seeds, l + 1)
+                    affected = walk[l + 1]
                     per_layer_counts.append(len(affected))
                     if len(affected):
                         updated = layer.forward_rows(snapshot, prev_input, affected)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -185,13 +184,6 @@ class SLOReport:
                 f"(worst: {shown})"
             )
         return "\n".join(lines)
-
-    def write(self, path) -> Path:
-        """Write the JSON report to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.render_json() + "\n")
-        return path
 
 
 class SLOMonitor:

@@ -24,6 +24,7 @@ from ..accel.simulator import AcceleratorSimulator
 from ..baselines.algorithms import build_costs
 from ..core.plan import DGNNSpec
 from ..ditile import DiTileAccelerator
+from ..graphs.delta import SnapshotDelta
 from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import GraphSnapshot
 from ..obs import span as obs_span
@@ -46,16 +47,25 @@ T = TypeVar("T")
 
 
 def transition_graph(
-    prev: Optional[GraphSnapshot], cur: GraphSnapshot, name: str = "window"
+    prev: Optional[GraphSnapshot],
+    cur: GraphSnapshot,
+    name: str = "window",
+    delta: Optional[SnapshotDelta] = None,
 ) -> DynamicGraph:
     """The context graph a window is planned and priced on.
 
     ``[prev, cur]`` in steady state; ``[cur]`` for the first window, which
     is a cold start (every vertex computed) in both the online and the
-    offline path.
+    offline path.  ``delta`` is the exact ``prev -> cur`` edge delta when
+    the caller holds it (ingest's :attr:`Window.delta`); the graph's
+    change detection then reads it instead of diffing the two snapshots.
     """
-    snapshots = [cur] if prev is None else [prev, cur]
-    return DynamicGraph(snapshots, name=name)
+    if prev is None:
+        return DynamicGraph([cur], name=name)
+    graph = DynamicGraph([prev, cur], name=name)
+    if delta is not None:
+        graph.supply_delta(1, delta)
+    return graph
 
 
 def simulate_window(

@@ -237,7 +237,10 @@ class WindowPipeline:
         for window in batch:
             with obs_span("window", index=window.index) as sp:
                 transition = transition_graph(
-                    self._prev, window.snapshot, name=f"window-{window.index}"
+                    self._prev,
+                    window.snapshot,
+                    name=f"window-{window.index}",
+                    delta=window.delta,
                 )
                 profile = self._window_profile(window)
                 (plan, decision), resolve_s = timed_call(

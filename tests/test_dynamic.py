@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.graphs.delta import snapshot_delta
 from repro.graphs.dynamic import DynamicGraph
-from repro.graphs.generators import generate_dynamic_graph
+from repro.graphs.generators import generate_dynamic_graph, random_features
 from repro.graphs.snapshot import GraphSnapshot
+from repro.models.dgnn import DGNNModel
+from repro.models.incremental import IncrementalDGNN
 
 
 def _line(edges, n=4, feature_dim=2):
@@ -87,6 +90,78 @@ class TestChangeAnalysis:
     def test_single_snapshot_avg_dissimilarity(self):
         graph = DynamicGraph([_line([(0, 1)])])
         assert graph.avg_dissimilarity() == 0.0
+
+
+class TestExactChangeDetection:
+    """Row 0 goes from {3, 7} to {4, 6}: same degree, same sum of sources."""
+
+    @staticmethod
+    def _swap_graph():
+        features = random_features(8, 4, seed=0)
+        before = GraphSnapshot.from_edges(
+            8, [(3, 0), (7, 0)], feature_dim=4, features=features
+        )
+        after = GraphSnapshot.from_edges(
+            8, [(4, 0), (6, 0)], feature_dim=4, features=features
+        )
+        return DynamicGraph([before, after])
+
+    def test_sum_preserving_swap_is_a_change(self):
+        graph = self._swap_graph()
+        np.testing.assert_array_equal(graph.changed_vertices(1), [0])
+        assert graph.dissimilarity(1) == 0.125
+
+    def test_incremental_equals_full_recompute(self):
+        graph = self._swap_graph()
+        model = DGNNModel.create(4, [5, 5], 4, seed=1)
+        full = model.run(graph)
+        incremental = IncrementalDGNN(model).run(graph)
+        for t in range(graph.num_snapshots):
+            np.testing.assert_allclose(
+                incremental.embeddings[t], full.embeddings[t], atol=1e-10
+            )
+
+
+class TestTransitionDelta:
+    def test_diffed_on_first_use(self):
+        before, after = _line([(0, 1)]), _line([(0, 2), (1, 2)])
+        delta = DynamicGraph([before, after]).transition_delta(1)
+        expected = snapshot_delta(before, after)
+        np.testing.assert_array_equal(delta.added_dst, expected.added_dst)
+        np.testing.assert_array_equal(delta.removed_src, expected.removed_src)
+
+    def test_no_transition_into_the_first_snapshot(self):
+        graph = DynamicGraph([_line([(0, 1)]), _line([(0, 1)])])
+        with pytest.raises(IndexError):
+            graph.transition_delta(0)
+        with pytest.raises(IndexError):
+            graph.transition_delta(2)
+
+    def test_supplied_delta_is_what_change_detection_reads(self):
+        before, after = _line([(0, 1)]), _line([(0, 1), (0, 2)])
+        graph = DynamicGraph([before, after])
+        supplied = snapshot_delta(before, after)
+        graph.supply_delta(1, supplied)
+        assert graph.transition_delta(1) is supplied
+        np.testing.assert_array_equal(graph.changed_vertices(1), [2])
+
+    def test_supplied_delta_must_fit_the_edge_counts(self):
+        before, after = _line([(0, 1)]), _line([(0, 1), (0, 2)])
+        graph = DynamicGraph([before, after])
+        with pytest.raises(ValueError):
+            graph.supply_delta(1, snapshot_delta(after, before))
+        with pytest.raises(ValueError):
+            graph.supply_delta(0, snapshot_delta(before, after))
+
+    def test_snapshots_are_restamped_not_copied(self):
+        snapshot = _line([(0, 1), (1, 2)])
+        snapshot.out_degree()
+        graph = DynamicGraph([snapshot, snapshot])
+        assert graph[0] is snapshot
+        assert graph[1].timestamp == 1
+        assert graph[1].indices is snapshot.indices
+        assert graph[1].indptr is snapshot.indptr
+        assert graph[1].out_degree() is snapshot.out_degree()
 
 
 class TestAffectedSets:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.generators import generate_dynamic_graph
 from repro.models.dgnn import DGNNModel
 from repro.models.incremental import IncrementalDGNN
+from tests.test_properties import row_swaps
 
 
 def _assert_equivalent(model, graph, atol=1e-10):
@@ -70,11 +72,12 @@ class TestEquivalence:
         dissimilarity=st.floats(0.0, 0.8),
         layers=st.integers(1, 3),
         snapshots=st.integers(2, 5),
+        data=st.data(),
     )
     def test_property_incremental_equals_full(
-        self, seed, dissimilarity, layers, snapshots
+        self, seed, dissimilarity, layers, snapshots, data
     ):
-        graph = generate_dynamic_graph(
+        generated = generate_dynamic_graph(
             25,
             90,
             snapshots,
@@ -83,6 +86,9 @@ class TestEquivalence:
             seed=seed,
             with_features=True,
         )
+        # A last transition that only swaps two sources of one row.
+        swapped = data.draw(row_swaps(generated[-1]))
+        graph = DynamicGraph(list(generated) + [swapped])
         model = DGNNModel.create(4, [5] * layers, 4, seed=seed)
         _assert_equivalent(model, graph)
 

@@ -489,11 +489,10 @@ class TestSLO:
         observed = {r.metric: r.observed for r in slo.run_records}
         assert observed["restarts"] == 0.0
 
-    def test_report_roundtrip(self, traced_serve, tmp_path):
+    def test_report_roundtrip(self, traced_serve):
         _, report = traced_serve
         slo = SLOMonitor().evaluate(report.stats)
-        path = slo.write(tmp_path / "slo.json")
-        payload = json.loads(path.read_text())
+        payload = json.loads(slo.render_json())
         assert payload["healthy"] is True
         assert {t["metric"] for t in payload["targets"]} == {
             "p95_latency_s",

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,12 +18,17 @@ from repro.core.comm_model import (
     ParallelFactors,
     WorkloadProfile,
 )
+from repro.core.plan import DGNNSpec
+from repro.core.redundancy import RedundancyAnalysis
 from repro.core.tiling import dram_access
+from repro.ditile import DiTileAccelerator
 from repro.graphs.continuous import ContinuousDynamicGraph, EdgeEvent, window_index
 from repro.graphs.delta import common_core, snapshot_delta
+from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.generators import evolve_snapshot, powerlaw_snapshot
 from repro.graphs.partition import round_robin_partition
 from repro.graphs.snapshot import GraphSnapshot
+from repro.serving import ServiceConfig, StreamingService, serve_offline
 from repro.serving.ingest import WindowedIngestor
 
 
@@ -46,6 +53,48 @@ def profiles(draw):
         avg_subgraph_edges=draw(st.floats(0.0, 100_000.0)),
         dissimilarity=draw(st.floats(0.0, 1.0)),
         alpha=draw(st.integers(1, 8)),
+    )
+
+
+def sum_preserving_swaps(row, num_vertices):
+    """Every rewrite of two members ``a, b`` of ``row`` into two non-members
+    ``c, d`` with ``c + d == a + b``, as ``((a, b), (c, d))`` pairs.
+
+    Each keeps the row's degree and its sum of source ids, so a row
+    fingerprint built from those two numbers cannot tell the rows apart.
+    """
+    members = set(row)
+    swaps = []
+    for a, b in combinations(sorted(members), 2):
+        for c in range(max(0, a + b - num_vertices + 1), (a + b + 1) // 2):
+            d = a + b - c
+            if c not in members and d not in members:
+                swaps.append(((a, b), (c, d)))
+    return swaps
+
+
+@st.composite
+def row_swaps(draw, snapshot):
+    """``snapshot`` with one row rewritten by a sum-preserving swap.
+
+    The snapshot comes back unchanged when no row has a swap.
+    """
+    candidates = [
+        (v, swap)
+        for v in range(snapshot.num_vertices)
+        for swap in sum_preserving_swaps(
+            snapshot.in_neighbors(v).tolist(), snapshot.num_vertices
+        )
+    ]
+    if not candidates:
+        return snapshot
+    v, ((a, b), (c, d)) = draw(st.sampled_from(candidates))
+    edges = snapshot.edge_set() - {(a, v), (b, v)} | {(c, v), (d, v)}
+    return GraphSnapshot.from_edges(
+        snapshot.num_vertices,
+        edges,
+        feature_dim=snapshot.feature_dim,
+        features=snapshot.features,
     )
 
 
@@ -86,6 +135,91 @@ class TestSnapshotProperties:
         out = snapshot.aggregate(x)
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))
+
+
+def _reachable_within(snapshot, seeds, hops):
+    """Vertices within ``hops`` out-steps of ``seeds``, by plain set walking."""
+    out = {v: set() for v in range(snapshot.num_vertices)}
+    for src, dst in snapshot.edge_set():
+        out[src].add(dst)
+    affected = set(seeds)
+    for _ in range(hops):
+        affected |= {w for v in affected for w in out[v]}
+    return sorted(affected)
+
+
+class TestKHopProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(snapshots(), st.lists(st.integers(0, 29), max_size=6), st.integers(0, 3))
+    def test_walk_matches_set_reference(self, snapshot, seeds, hops):
+        seeds = [v for v in seeds if v < snapshot.num_vertices]
+        walk = snapshot.k_hop_walk(np.array(seeds, dtype=np.int64), hops)
+        assert len(walk) == hops + 1
+        for h, affected in enumerate(walk):
+            assert affected.tolist() == _reachable_within(snapshot, seeds, h)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        snapshots(),
+        st.floats(0.0, 0.6),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 3),
+    )
+    def test_layer_sets_equal_per_layer_walks(self, snapshot, dis, seed, layers):
+        evolved = evolve_snapshot(snapshot, dis, np.random.default_rng(seed))
+        graph = DynamicGraph([snapshot, evolved])
+        transition = RedundancyAnalysis.analyze(graph, layers)[1]
+        changed = graph.changed_vertices(1)
+        for l in range(layers):
+            np.testing.assert_array_equal(
+                transition.affected_per_layer[l],
+                graph[1].k_hop_affected(changed, l + 1),
+            )
+
+
+def _changed_rows(before, after):
+    """Brute-force change detection: compare each shared row as a list."""
+    common = min(before.num_vertices, after.num_vertices)
+    changed = [
+        v
+        for v in range(common)
+        if before.in_neighbors(v).tolist() != after.in_neighbors(v).tolist()
+    ]
+    return changed + list(range(common, after.num_vertices))
+
+
+def _resized(snapshot, num_vertices):
+    """``snapshot`` in a grown or shrunk vertex space (edges past it dropped)."""
+    src, dst = snapshot.edge_arrays()
+    keep = (src < num_vertices) & (dst < num_vertices)
+    return GraphSnapshot.from_edge_arrays(num_vertices, src[keep], dst[keep])
+
+
+class TestChangeDetectionProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        snapshots(),
+        st.floats(0.0, 0.6),
+        st.integers(0, 2**31 - 1),
+        st.integers(-3, 3),
+        st.data(),
+    )
+    def test_changed_vertices_match_row_comparison(
+        self, snapshot, dis, seed, grow, data
+    ):
+        evolved = evolve_snapshot(snapshot, dis, np.random.default_rng(seed))
+        after = data.draw(row_swaps(evolved))
+        after = _resized(after, max(after.num_vertices + grow, 1))
+        graph = DynamicGraph([snapshot, after])
+        assert graph.changed_vertices(1).tolist() == _changed_rows(snapshot, after)
+
+    @settings(max_examples=40, deadline=None)
+    @given(snapshots(), st.data())
+    def test_a_swap_changes_exactly_its_row(self, snapshot, data):
+        swapped = data.draw(row_swaps(snapshot))
+        changed = DynamicGraph([snapshot, swapped]).changed_vertices(1)
+        assert len(changed) == (0 if swapped is snapshot else 1)
+        assert changed.tolist() == _changed_rows(snapshot, swapped)
 
 
 class TestDeltaProperties:
@@ -134,13 +268,15 @@ _EDGE_EVENT = st.tuples(
 
 
 @st.composite
-def event_streams(draw):
+def event_streams(draw, swaps=False):
     """Adversarial streams over a tiny vertex space, with window width.
 
     A six-vertex space makes duplicate adds and removes of absent edges
     common; the explicit lists add same-timestamp add/remove pairs and
     repeated adds, the half-window time grid puts events exactly on
-    window boundaries, and its sparse draws leave empty windows.
+    window boundaries, and its sparse draws leave empty windows.  With
+    ``swaps=True`` one row of the initial graph is also rewritten at one
+    instant by a sum-preserving swap (:func:`sum_preserving_swaps`).
     """
     n = 6
     window = draw(st.sampled_from([1.0, 2.0, 2.5]))
@@ -157,8 +293,27 @@ def event_streams(draw):
         events += [EdgeEvent(t * window / 2, s, d, "add")] * 2
     vertex = st.integers(0, n - 1)
     initial = draw(st.sets(st.tuples(vertex, vertex), max_size=12))
+    if swaps:
+        row = draw(vertex)
+        (a, b), (c, d) = draw(st.sampled_from(_ROW_SWAPS))
+        initial = initial - {(c, row), (d, row)} | {(a, row), (b, row)}
+        at = draw(st.integers(0, 24)) * window / 2
+        events += [
+            EdgeEvent(at, a, row, "remove"),
+            EdgeEvent(at, b, row, "remove"),
+            EdgeEvent(at, c, row, "add"),
+            EdgeEvent(at, d, row, "add"),
+        ]
     stream = ContinuousDynamicGraph(GraphSnapshot.from_edges(n, initial), events)
     return stream, window
+
+
+#: every sum-preserving swap of a two-member row in the six-vertex space
+_ROW_SWAPS = [
+    swap
+    for pair in combinations(range(6), 2)
+    for swap in sum_preserving_swaps(pair, 6)
+]
 
 
 def _edge_pairs(src, dst):
@@ -195,6 +350,22 @@ class TestIngestOracleProperties:
             assert delta.num_removed == len(previous - edges)
             previous = edges
         assert ingestor.late_events == 0
+
+
+class TestServeOracleProperties:
+    """Served results against :func:`serve_offline`, which diffs every
+    window from scratch, on adversarial streams with row swaps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(event_streams(swaps=True))
+    def test_online_equals_offline(self, case):
+        stream, window = case
+        spec = DGNNSpec(gcn_dims=(8, 8), rnn_hidden_dim=8)
+        inline = ServiceConfig(window=window, origin=0.0, workers=0, pipeline_depth=1)
+        offline = serve_offline(stream, spec, DiTileAccelerator(), inline)
+        for config in (inline, ServiceConfig(window=window, origin=0.0)):
+            report = StreamingService(DiTileAccelerator(), config).serve(stream, spec)
+            assert report.results == offline
 
 
 # ---------------------------------------------------------------------------

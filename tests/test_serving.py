@@ -432,6 +432,31 @@ class TestStreamingService:
         assert report.num_windows == 3  # T-1 transitions
 
 
+class TestDeltaPricedWindows:
+    """Served windows are priced from ingest's delta; the offline
+    reference diffs every transition from scratch."""
+
+    def test_only_the_offline_reference_diffs_snapshots(self, monkeypatch):
+        import repro.graphs.delta as delta_module
+
+        stream = synthetic_event_stream(num_vertices=48, num_events=1200, seed=6)
+        config = ServiceConfig(window=70.0)
+        calls = []
+        diff = delta_module.snapshot_delta
+
+        def counted(prev, cur):
+            calls.append(cur.timestamp)
+            return diff(prev, cur)
+
+        monkeypatch.setattr(delta_module, "snapshot_delta", counted)
+        report = StreamingService(DiTileAccelerator(), config).serve(stream, SPEC)
+        assert report.stats.plan_misses > 1
+        assert calls == []
+        offline = serve_offline(stream, SPEC, DiTileAccelerator(), config)
+        assert len(calls) >= len(offline) - 1 > 8
+        assert report.results == offline
+
+
 # ---------------------------------------------------------------------------
 # Overlapped window pipeline
 # ---------------------------------------------------------------------------

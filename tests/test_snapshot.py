@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.snapshot import GraphSnapshot
 
 
@@ -77,14 +78,13 @@ class TestStructureQueries:
             zip(src.tolist(), dst.tolist())
         )
 
-    def test_row_keys_change_on_row_change(self, tiny_snapshot):
+    def test_changed_vertices_on_row_change(self, tiny_snapshot):
         modified = GraphSnapshot.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (3, 2), (3, 4)], feature_dim=3
         )
-        original_keys = tiny_snapshot.row_keys()
-        modified_keys = modified.row_keys()
-        assert original_keys[4] != modified_keys[4]  # row 4 changed
-        np.testing.assert_array_equal(original_keys[:4], modified_keys[:4])
+        changed = DynamicGraph([tiny_snapshot, modified]).changed_vertices(1)
+        assert 4 in changed  # row 4 changed
+        assert not np.isin(changed, [0, 1, 2, 3]).any()
 
     def test_equality_ignores_features(self, tiny_snapshot):
         features = np.ones((5, 3))
