@@ -1,18 +1,14 @@
 """Static analysis for the repo's own invariants (``repro lint``).
 
-An AST-based lint suite encoding the three invariant families the
+An AST-based lint suite encoding the four invariant families the
 codebase cannot express in the type system:
 
 * determinism of the planning/simulation/serving paths (DET001-DET003) —
   the property the offline/online parity guarantee rests on;
 * unit consistency of the suffix-annotated cost models (UNIT001-UNIT003);
-* thread-confinement of mutable state in the serving layer (THR001);
-* process safety of code that forks (MP001, MP003) — fork ordering and
-  queue discipline.
-
-The project rules run on a shared analysis engine: an AST→CFG builder
-(:mod:`.cfg`), a forward worklist dataflow solver (:mod:`.dataflow`), and
-a conservative project-wide call graph (:mod:`.callgraph`).
+* thread-confinement of mutable state in the serving layer (THR001),
+  checked over a conservative project-wide call graph (:mod:`.callgraph`);
+* crash-atomic writes of durable state (DUR001).
 
 See ``docs/static-analysis.md`` for the rule catalog, the
 ``# repro: noqa[RULE] justification`` suppression syntax, and how to add
@@ -20,9 +16,7 @@ a rule.  CI runs ``repro lint src/repro`` and requires a clean tree.
 """
 
 from .callgraph import CallGraph, FunctionDecl
-from .cfg import CFG, CFGNode, build_cfg
-from .dataflow import State, fixpoint, solve_forward
-from .determinism import DETERMINISM_RULES
+from .determinism import DETERMINISM_RULES, fixpoint
 from .findings import (
     FileRule,
     Finding,
@@ -33,7 +27,6 @@ from .findings import (
     Severity,
     default_registry,
 )
-from .processes import PROCESS_RULES
 from .reporters import (
     JSON_SCHEMA_VERSION,
     SARIF_VERSION,
@@ -63,18 +56,12 @@ __all__ = [
     "ProjectRule",
     "RuleRegistry",
     "default_registry",
-    "CFG",
-    "CFGNode",
-    "build_cfg",
-    "State",
-    "solve_forward",
     "fixpoint",
     "CallGraph",
     "FunctionDecl",
     "DETERMINISM_RULES",
     "UNIT_RULES",
     "THREAD_RULES",
-    "PROCESS_RULES",
     "Unit",
     "infer_unit",
     "unit_of_name",

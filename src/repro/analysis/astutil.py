@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
-__all__ = ["dotted_name", "terminal_name", "ImportMap", "walk_functions"]
+__all__ = ["dotted_name", "terminal_name", "ImportMap"]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -65,11 +65,3 @@ class ImportMap:
         if origin is None:
             return dotted
         return f"{origin}.{rest}" if rest else origin
-
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Module plus every (async) function definition, outermost first."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

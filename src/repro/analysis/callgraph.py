@@ -1,15 +1,9 @@
 """Project-wide call graph over the in-scope source set.
 
-Generalizes the ad-hoc name resolution the thread-safety rule used to
-carry: one pass per file collects every function/method definition and
-the simple (terminal) names it calls; the graph then answers the two
-reachability questions the project rules need —
-
-* :meth:`CallGraph.reachable` — which functions can run downstream of a
-  set of root names (THR001's "reachable from a thread target");
-* :meth:`CallGraph.reaches_call` — which functions can, transitively,
-  make a call whose terminal name is in a target set (MP001's "this call
-  may fork").
+One pass per file collects every function/method definition and the
+simple (terminal) names it calls; :meth:`CallGraph.reachable` then
+answers which functions can run downstream of a set of root names
+(THR001's "reachable from a thread target").
 
 Resolution is deliberately conservative: a call resolves to *every*
 definition with the same terminal name, anywhere in the in-scope set.
@@ -88,9 +82,8 @@ class CallGraph:
     """The conservative name-resolution call graph of a source set."""
 
     def __init__(self, decls: Sequence[FunctionDecl]):
-        self.decls = list(decls)
         self.by_name: Dict[str, List[FunctionDecl]] = {}
-        for decl in self.decls:
+        for decl in decls:
             self.by_name.setdefault(decl.name, []).append(decl)
 
     @classmethod
@@ -126,22 +119,3 @@ class CallGraph:
             seen.add(name)
             frontier.extend(call for call in self.calls_of(name) if call not in seen)
         return seen
-
-    def reaches_call(self, targets: Set[str]) -> Set[str]:
-        """Defined function names that may transitively call ``targets``.
-
-        A function reaches a target if any same-named definition calls a
-        target name directly, or calls a function that reaches one.
-        Computed by reverse propagation to a fixpoint.
-        """
-        reaching: Set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for decl in self.decls:
-                if decl.name in reaching:
-                    continue
-                if decl.calls & targets or decl.calls & reaching:
-                    reaching.add(decl.name)
-                    changed = True
-        return reaching

@@ -25,10 +25,9 @@ paths (:data:`~repro.analysis.findings.DETERMINISTIC_PATHS`):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from .astutil import ImportMap, dotted_name
-from .dataflow import fixpoint
 from .findings import DETERMINISTIC_PATHS, FileRule, Finding
 from .source import SourceFile
 
@@ -37,7 +36,10 @@ __all__ = [
     "UnseededRandomRule",
     "UnorderedAccumulationRule",
     "DETERMINISM_RULES",
+    "fixpoint",
 ]
+
+T = TypeVar("T")
 
 _WALL_CLOCK_CALLS = {
     "time.time",
@@ -160,6 +162,21 @@ class UnseededRandomRule(FileRule):
         return True
 
 
+def fixpoint(step: Callable[[T], T], initial: T) -> T:
+    """Iterate ``step`` from ``initial`` until the value stops changing.
+
+    DET003 iterates its whole-module binding table here, so set-taint
+    propagates through name chains.  ``step`` must be monotone on a
+    finite domain.
+    """
+    current = initial
+    while True:
+        after = step(current)
+        if after == current:
+            return current
+        current = after
+
+
 class UnorderedAccumulationRule(FileRule):
     """DET003: order-sensitive accumulation over unordered iterables."""
 
@@ -252,7 +269,7 @@ class UnorderedAccumulationRule(FileRule):
         Tracked flow-insensitively over the whole module: a name counts
         as unordered only if *every* assignment to it is unordered, so a
         later ``xs = sorted(xs)`` rebinding clears it.  Iterated to a
-        fixpoint (:func:`repro.analysis.dataflow.fixpoint`) so taint
+        fixpoint (:func:`fixpoint`) so taint
         chains through names (``live = set(ks)`` then
         ``table = {k: 0 for k in live}``).
         """

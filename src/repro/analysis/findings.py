@@ -5,7 +5,7 @@ A *rule* encodes one repo invariant (see ``docs/static-analysis.md``); a
 come in two shapes:
 
 * :class:`FileRule` — checked one file at a time on that file's AST
-  (determinism and unit-consistency rules);
+  (determinism, unit-consistency and durability rules);
 * :class:`ProjectRule` — checked once over every in-scope file together
   (the thread-safety rule, which needs the cross-file call graph from
   the serving thread targets to the mutation sites).
@@ -131,7 +131,6 @@ DETERMINISTIC_PATHS = PathScope(
         "core/",
         "accel/",
         "serving/",
-        "dist/",
         "durability/",
         "resilience/",
         "graphs/",
@@ -152,11 +151,9 @@ UNIT_PATHS = PathScope(include=("accel/", "core/"), exclude=("analysis/",))
 #: Paths that run under more than one thread (ingest thread + dispatch
 #: loop + worker pool).  ``durability/`` is in scope because the
 #: WAL/checkpoint commit barrier runs on the pipeline's collector thread
-#: while the ingest thread appends records.  ``dist/`` names no package in
-#: ``src/``; it keeps the process-rule fixtures under
-#: ``tests/fixtures/lint/dist/`` in scope.
+#: while the ingest thread appends records.
 THREADED_PATHS = PathScope(
-    include=("serving/", "dist/", "durability/"),
+    include=("serving/", "durability/"),
     exclude=("analysis/",),
 )
 
@@ -247,7 +244,6 @@ def default_registry() -> RuleRegistry:
     """All built-in rules (imported lazily to avoid module cycles)."""
     from .determinism import DETERMINISM_RULES
     from .durable import DURABILITY_RULES
-    from .processes import PROCESS_RULES
     from .threads import THREAD_RULES
     from .units import UNIT_RULES
 
@@ -256,7 +252,6 @@ def default_registry() -> RuleRegistry:
         *DETERMINISM_RULES,
         *UNIT_RULES,
         *THREAD_RULES,
-        *PROCESS_RULES,
         *DURABILITY_RULES,
     ):
         registry.register(rule)

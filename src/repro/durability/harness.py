@@ -10,6 +10,15 @@ harness then resumes from the crashed directory in-process and
 byte-compares the resumed run's deterministic per-window results JSON
 against an uninterrupted reference run.
 
+The victim is started with ``fork``, not ``spawn``: a spawned child
+would re-import NumPy and ``repro`` before serving, which costs about
+half a second per kill point.  ``fork`` copies only the calling thread,
+so it is safe only when no other thread is alive to hold a lock the
+child would inherit locked.  The harness forks only between serves,
+and :meth:`~repro.serving.service.StreamingService.serve` joins every
+thread it starts (its ingest thread and worker pool), whether it
+returns or raises.
+
 Everything in the resulting :class:`RecoverReport` is a pure function of
 (stream, spec, config, kill points): kill exit codes, byte-identity
 verdicts, recovered window counts, WAL record counts.  Repeated sweeps
@@ -178,6 +187,7 @@ def run_recover_sweep(
     base = root or tempfile.mkdtemp(prefix="repro-recover-")
     os.makedirs(base, exist_ok=True)
     # fork: the victim inherits the stream/spec/config objects directly.
+    # Precondition: tests/test_durability.py::TestServeJoinsItsThreads.
     ctx = multiprocessing.get_context("fork")
     for k in points:
         workdir = os.path.join(base, f"kill-{k:04d}")

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamic import DynamicGraph
-from .snapshot import GraphSnapshot
+from .snapshot import GraphSnapshot, sorted_unique
 
 __all__ = [
     "powerlaw_snapshot",
@@ -65,7 +65,7 @@ def _sample_edges(
         src = rng.integers(0, num_vertices, size=batch)
         keys = dst.astype(np.int64) * num_vertices + src
         keys = keys[src != dst]
-        keys = np.unique(keys)
+        keys = sorted_unique(keys)
         if forbidden is not None and len(forbidden):
             keys = keys[~np.isin(keys, forbidden, assume_unique=False)]
         keys = np.setdiff1d(keys, collected, assume_unique=True)
@@ -151,7 +151,7 @@ def evolve_snapshot(
         candidate_dst = np.repeat(adders, 4)
         cand = candidate_dst.astype(np.int64) * num_vertices + candidate_src
         cand = cand[candidate_src != candidate_dst]
-        cand = np.unique(cand)
+        cand = sorted_unique(cand)
         cand = cand[~np.isin(cand, kept_keys)]
         # Keep at most one new in-edge per adder vertex.
         cand_dst = cand // num_vertices

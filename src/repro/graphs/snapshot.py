@@ -156,7 +156,7 @@ class GraphSnapshot:
                 raise ValueError("dst contains out-of-range vertex ids")
             # Deduplicate on the (dst, src) key so rows come out sorted.
             key = dst * num_vertices + src
-            key = np.unique(key)
+            key = sorted_unique(key)
             dst = key // num_vertices
             src = key % num_vertices
         counts = np.bincount(dst, minlength=num_vertices)

@@ -208,26 +208,26 @@ class TestLint:
         out = capsys.readouterr().out
         for rule_id in ("DET001", "DET002", "DET003",
                         "UNIT001", "UNIT002", "UNIT003", "THR001",
-                        "MP001", "MP003"):
+                        "DUR001"):
             assert rule_id in out
 
     def test_sarif_format(self, capsys):
-        target = LINT_FIXTURES / "dist" / "bad_unbounded_queue.py"
+        target = LINT_FIXTURES / "durability" / "bad_checkpoint_write.py"
         assert main(["lint", str(target), "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "MP003" in rule_ids
+        assert "DUR001" in rule_ids
         results = run["results"]
-        assert all(r["ruleId"] == "MP003" for r in results)
+        assert all(r["ruleId"] == "DUR001" for r in results)
         assert all(r["level"] == "error" for r in results)
         first = results[0]["locations"][0]["physicalLocation"]
         assert first["region"]["startLine"] >= 1
-        assert results[0]["ruleIndex"] == rule_ids.index("MP003")
+        assert results[0]["ruleIndex"] == rule_ids.index("DUR001")
 
     def test_sarif_clean_run_has_no_results(self, capsys):
-        target = LINT_FIXTURES / "dist" / "good_bounded_queue.py"
+        target = LINT_FIXTURES / "durability" / "good_checkpoint_write.py"
         assert main(["lint", str(target), "--format", "sarif"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["runs"][0]["results"] == []
@@ -235,34 +235,38 @@ class TestLint:
     def test_sarif_out_exports_from_the_gating_run(self, tmp_path, capsys):
         """--sarif-out writes the SARIF report next to the text gate in
         one invocation (CI runs lint once, not twice)."""
-        target = LINT_FIXTURES / "dist" / "bad_unbounded_queue.py"
+        target = LINT_FIXTURES / "durability" / "bad_checkpoint_write.py"
         out = tmp_path / "reports" / "lint.sarif"
         assert main(["lint", str(target), "--sarif-out", str(out)]) == 1
         text = capsys.readouterr().out
-        assert "MP003" in text  # the human-readable gate output
+        assert "DUR001" in text  # the human-readable gate output
         payload = json.loads(out.read_text())
         assert payload["version"] == "2.1.0"
         assert any(
-            r["ruleId"] == "MP003" for r in payload["runs"][0]["results"]
+            r["ruleId"] == "DUR001" for r in payload["runs"][0]["results"]
         )
 
     def test_sarif_out_clean_run_still_writes(self, tmp_path, capsys):
-        target = LINT_FIXTURES / "dist" / "good_bounded_queue.py"
+        target = LINT_FIXTURES / "durability" / "good_checkpoint_write.py"
         out = tmp_path / "lint.sarif"
         assert main(["lint", str(target), "--sarif-out", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["runs"][0]["results"] == []
 
     def test_explain_prints_rule_doc_and_example(self, capsys):
-        assert main(["lint", "--explain", "MP003"]) == 0
+        assert main(["lint", "--explain", "DUR001"]) == 0
         out = capsys.readouterr().out
-        assert "MP003" in out
-        assert "maxsize" in out
-        assert "noqa[MP003]" in out
+        assert "DUR001" in out
+        assert "os.replace" in out
+        assert "noqa[DUR001]" in out
 
     def test_explain_is_case_insensitive(self, capsys):
-        assert main(["lint", "--explain", "mp001"]) == 0
-        assert "MP001" in capsys.readouterr().out
+        assert main(["lint", "--explain", "dur001"]) == 0
+        assert "DUR001" in capsys.readouterr().out
+
+    def test_explain_deleted_process_rule_exits_two(self, capsys):
+        assert main(["lint", "--explain", "MP001"]) == 2
+        assert "unknown rule MP001" in capsys.readouterr().out
 
     def test_explain_unknown_rule_exits_two(self, capsys):
         assert main(["lint", "--explain", "NOPE999"]) == 2

@@ -16,6 +16,7 @@ import os
 import signal
 import struct
 import sys
+import threading
 import zlib
 from dataclasses import replace
 from types import SimpleNamespace
@@ -675,6 +676,55 @@ class TestRecoverHarness:
             run_recover_sweep(
                 stream, SPEC, config=config, kill_points=[99], root=str(tmp_path)
             )
+
+
+class TestServeJoinsItsThreads:
+    """The recovery harness forks its victims from a process that has
+    already served (the reference run, earlier resumes).  ``fork`` copies
+    only the calling thread, so it is safe only if ``serve`` joins every
+    thread it starts, whether it returns or raises: no thread is left to
+    hold a lock that the child would inherit locked."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["default-pool", "inline", "durable", "durable-crash", "malformed"],
+    )
+    def test_serve_leaves_no_thread_running(
+        self, stream, config, tmp_path, case
+    ):
+        raises, match = None, None
+        if case == "inline":
+            config = replace(config, workers=0, pipeline_depth=1)
+        elif case == "durable":
+            config = replace(
+                config,
+                durability=DurabilityConfig(directory=tmp_path, fsync=False),
+            )
+        elif case == "durable-crash":
+            # A one-window queue keeps ingest blocked on a put when the
+            # crash aborts dispatch, so only the join can end it in time.
+            config = replace(
+                config,
+                queue_capacity=1,
+                durability=DurabilityConfig(
+                    directory=tmp_path, fsync=False, abort_after_commit=7
+                ),
+            )
+            raises = SimulatedCrash
+        elif case == "malformed":
+            # The first poison event follows event 210 (window 5 of 15);
+            # without quarantine, ingest raises it into the dispatch loop.
+            config = replace(
+                config, chaos=ChaosSchedule(seed=5, poison_rate=0.01)
+            )
+            raises, match = ValueError, "malformed event"
+        before = set(threading.enumerate())
+        if raises is None:
+            _serve(stream, config)
+        else:
+            with pytest.raises(raises, match=match):
+                _serve(stream, config)
+        assert [t for t in threading.enumerate() if t not in before] == []
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,6 @@ class TestRegistry:
             "DET001", "DET002", "DET003",
             "UNIT001", "UNIT002", "UNIT003",
             "THR001",
-            "MP001", "MP003",
             "DUR001",
         ]
 

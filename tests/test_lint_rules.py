@@ -336,6 +336,20 @@ class TestThreadSafety:
         report = _threaded("self.items.append(1)", "return len(self.items)")
         assert report.findings == []
 
+    def test_justified_noqa_suppresses_the_project_finding(self):
+        report = _threaded(
+            "self.items.append(1)"
+            "  # repro: noqa[THR001] publish runs only after the join",
+            "self.items.append(2)",
+        )
+        assert report.findings == []
+
+    def test_out_of_scope_path_is_exempt(self):
+        text = _THREADED.format(
+            run_body="self.items.append(1)", publish_body="self.items.append(2)"
+        )
+        assert lint_text(text, "accel/sink.py").findings == []
+
     def test_executor_submit_counts_as_thread_root(self):
         report = lint_text(
             "class Pool:\n"
