@@ -18,7 +18,7 @@ Commands
 ``chaos {serve,sweep,recover}``
     Resilience tooling (see ``docs/resilience.md``): ``serve`` replays a
     stream under seeded fault injection (worker crashes, latency, poison
-    events) and prints the deterministic chaos report; ``sweep`` produces the
+    events) and prints the service statistics; ``sweep`` produces the
     slowdown-vs-fault-rate curve comparing the reconfigurable ring+Re-Link
     NoC against a static mesh; ``recover`` SIGKILLs the serving process at
     window boundaries, resumes from the WAL, and byte-compares the results
@@ -119,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults_arg(serve)
     serve.add_argument(
         "--results-json", default=None, metavar="OUT",
-        help="write the deterministic per-window results (JSON) to OUT — "
-        "byte-comparable across pipeline depths and worker counts (the CI "
-        "pipeline-parity gate)",
+        help="write the deterministic per-window results and resilience "
+        "counters (JSON) to OUT — byte-comparable across pipeline depths, "
+        "worker counts and crash points (the CI pipeline-parity gate)",
     )
     serve.set_defaults(handler=_cmd_serve)
 
@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_serve.add_argument(
         "--json", default=None, metavar="OUT",
-        help="write the deterministic chaos report (JSON) to OUT",
+        help="write the run's deterministic outcome (JSON: per-window "
+        "results plus resilience counters, as serve --results-json) to OUT",
     )
     chaos_serve.set_defaults(handler=_cmd_chaos_serve)
     chaos_recover = chaos_sub.add_parser(
@@ -701,18 +702,15 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     )
     _print_stream(stream, config)
     print(f"chaos: {schedule.describe()}")
-    report, chaos_report = run_chaos(
-        stream, spec, schedule, config=config, model=ditile_model()
-    )
+    report = run_chaos(stream, spec, schedule, config=config, model=ditile_model())
     print(report.stats.summary())
-    print(chaos_report.summary())
     if args.json:
-        _write_artifact(args.json, chaos_report.to_json(), "chaos report")
+        _write_artifact(args.json, report.results_json(), "chaos outcome")
     if args.slo_json:
         _emit_slo(args, report.stats)
     # Exit 0 only if every window was eventually served: a permanently
     # failed window is graceful degradation, but CI should notice it.
-    return 0 if chaos_report.windows_failed == 0 else 1
+    return 0 if report.stats.windows_failed == 0 else 1
 
 
 def _cmd_chaos_recover(args: argparse.Namespace) -> int:

@@ -21,9 +21,9 @@ or not at all.  ``load_latest`` walks newest-first and skips files that
 fail the magic/length/checksum/unpickle gauntlet, so a crash *during*
 a checkpoint write (or bit rot in the newest file) falls back to the
 previous retained checkpoint instead of failing the resume.  ``MAGIC``
-names the payload layout (``RDCKPT2``: plan state of window plans), so
-checkpoints an older layout wrote fail the same gauntlet and a resume
-replays the WAL instead of unpickling them.
+names the payload layout and changes with it, so checkpoints an older
+layout wrote fail the same gauntlet and a resume replays the WAL instead
+of unpickling them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["Checkpoint", "CheckpointError", "CheckpointStore"]
 
 #: bumped whenever the pickled payload changes shape
-_MAGIC = b"RDCKPT2\n"
+_MAGIC = b"RDCKPT3\n"
 _HEADER = struct.Struct("<II")  # payload length, payload crc32
 
 

@@ -40,7 +40,6 @@ import signal
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..graphs.continuous import EdgeEvent, EventColumns
-from ..obs import gauge_set as obs_gauge_set
 from ..obs import span as obs_span
 from ..serving.ingest import classify_events
 from ..serving.stats import wall_clock
@@ -97,8 +96,6 @@ class WindowCommitter:
         self._kill_after = kill_after
         self._abort_after = abort_after
         self._on_commit = on_commit
-        self.commits = 0
-        self.checkpoints = 0
 
     def commit(self, index: int, snapshot: Any, plan_state: Any) -> None:
         """Make window ``index`` durable; fire chaos hooks afterwards.
@@ -114,8 +111,6 @@ class WindowCommitter:
         if self._store is not None and watermark % self._interval == 0:
             with obs_span("durability.checkpoint", window=index):
                 self._store.save(self._capture(watermark, snapshot, plan_state))
-            self.checkpoints += 1
-        self.commits += 1
         if self._on_commit is not None:
             self._on_commit(index)
         if self._kill_after == index:
@@ -312,8 +307,3 @@ class DurableRun:
         stats.recovery_s = self.recovery_s
         stats.wal_records = len(self.records) + self.wal.records_appended
         stats.checkpoints = self._store.saved if self._store else 0
-        obs_gauge_set("durability.wal_records", stats.wal_records)
-        obs_gauge_set("durability.checkpoints", stats.checkpoints)
-        if self.resumed:
-            obs_gauge_set("durability.replayed_windows", self.replayed_windows)
-            obs_gauge_set("durability.recovery_s", self.recovery_s)

@@ -175,8 +175,6 @@ class WriteAheadLog:
         self.fsync = fsync
         #: records written through this instance (not replayed ones)
         self.records_appended = 0
-        #: sync() calls that reached the disk
-        self.syncs = 0
         self._lock = threading.Lock()
         #: appended, not yet written ``(positions, events)``: the two lists
         #: belong to the appending thread, and flush swaps in new ones
@@ -306,7 +304,6 @@ class WriteAheadLog:
             self._active.flush()
             if self.fsync:
                 os.fsync(self._active.fileno())
-            self.syncs += 1
 
     def _rotate(self) -> None:
         """Seal the active segment (fsync-then-rename) and open the next."""

@@ -1,4 +1,4 @@
-"""``repro.obs`` — tracing, metrics, and phase-breakdown profiling.
+"""``repro.obs`` — tracing and phase-breakdown profiling.
 
 A deterministic-safe instrumentation layer over the planner, the
 accelerator simulator, and the serving pipeline (see
@@ -8,8 +8,6 @@ accelerator simulator, and the serving pipeline (see
   per-thread phases with identifying attributes (snapshot index,
   ``alpha``/``Ps``/``Pv``, plan decision) and *deterministic counters*
   (cycles, bytes, MACs) kept strictly apart from wall-clock telemetry.
-* **Metrics** (:mod:`repro.obs.metrics`) — counter/gauge registry
-  (queue depth, plan-cache hit rate).
 * **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
   (Perfetto / ``chrome://tracing``) and a JSONL span log, with a
   dependency-free schema validator.
@@ -18,7 +16,9 @@ accelerator simulator, and the serving pipeline (see
 
 With no tracer installed every instrumented call site is a no-op behind
 one global ``None`` check — bench counters are bit-identical with
-tracing on or off.
+tracing on or off.  Serving numbers (queue depth, plan-cache hit rate,
+retries) are not copied into a trace: they live in
+:class:`~repro.serving.stats.ServiceStats`.
 """
 
 from .export import (
@@ -29,7 +29,6 @@ from .export import (
     write_span_jsonl,
 )
 from .flamegraph import collapsed_stacks, write_flamegraph
-from .metrics import Counter, Gauge, MetricsRegistry
 from .report import PhaseNode, PhaseReport, build_phase_report
 from .session import TraceSession, export_all
 from .slo import SLOMonitor, SLOReport, SLOTarget, default_targets
@@ -37,8 +36,6 @@ from .span import NOOP_SPAN, NoopSpan, Span, SpanRecord
 from .tracer import (
     Tracer,
     active_tracer,
-    counter_add,
-    gauge_set,
     install,
     span,
     tracing,
@@ -58,11 +55,6 @@ __all__ = [
     "uninstall",
     "tracing",
     "span",
-    "counter_add",
-    "gauge_set",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "chrome_trace_events",
     "write_chrome_trace",
     "write_span_jsonl",

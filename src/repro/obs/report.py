@@ -73,7 +73,6 @@ class PhaseReport:
     """The aggregated phase tree of one traced run."""
 
     root: PhaseNode
-    metrics: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
 
     def phase(self, path: str) -> Optional[PhaseNode]:
         """Look a phase up by its ``a/b/c`` path (``None`` if absent)."""
@@ -133,37 +132,12 @@ class PhaseReport:
 
         for top in sorted(self.root.children, key=key):
             walk(top, None, 0)
-        gauges = self.metrics.get("gauges", {})
-        if gauges:
-            lines.append("")
-            lines.append(f"{'gauge':<44} {'last':>10} {'min':>10} {'max':>10} {'mean':>10}")
-            for name in sorted(gauges):
-                g = gauges[name]
-                lines.append(
-                    f"{name:<44} {g['last']:>10.4g} {g['min']:>10.4g} "
-                    f"{g['max']:>10.4g} {g['mean']:>10.4g}"
-                )
-        counters = self.metrics.get("counters", {})
-        if counters:
-            lines.append("")
-            lines.append(f"{'counter':<44} {'total':>10} {'events':>10}")
-            for name in sorted(counters):
-                c = counters[name]
-                lines.append(
-                    f"{name:<44} {c['total']:>10.6g} {c['events']:>10.0f}"
-                )
         return "\n".join(lines)
 
     def render_json(self) -> str:
         """The machine-readable report (name-sorted rows, so two reports
         of the same workload have rows in the same order)."""
-        return json.dumps(
-            {
-                "phases": self.root.as_dict(),
-                "metrics": self.metrics,
-            },
-            indent=1,
-        )
+        return json.dumps({"phases": self.root.as_dict()}, indent=1)
 
 
 def build_phase_report(tracer: Tracer) -> PhaseReport:
@@ -176,4 +150,4 @@ def build_phase_report(tracer: Tracer) -> PhaseReport:
         for part in paths[record.span_id].split("/"):
             node = node.child(part)
         node.absorb(record)
-    return PhaseReport(root=root, metrics=tracer.metrics.as_dict())
+    return PhaseReport(root=root)

@@ -3,11 +3,10 @@
 Design constraints (see ``docs/observability.md``):
 
 * **Zero-cost-when-off.**  Instrumented call sites go through the
-  module-level :func:`span` / :func:`counter_add` / :func:`gauge_set`
-  helpers.  With no tracer installed these are one global ``None`` check
-  plus a trivial no-op — no allocation, no clock read — so the bench
-  suite's deterministic counters are bit-identical with tracing on or
-  off (asserted by ``tests/test_obs_integration.py``).
+  module-level :func:`span` helper.  With no tracer installed it is one
+  global ``None`` check plus a trivial no-op — no allocation, no clock
+  read — so the bench suite's deterministic counters are bit-identical
+  with tracing on or off (asserted by ``tests/test_obs_integration.py``).
 * **Determinism-safe.**  The only wall-clock read is
   :func:`repro.serving.stats.wall_clock` — the same sanctioned seam the
   serving telemetry uses — and timestamps live only in span telemetry
@@ -24,7 +23,6 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
-from .metrics import MetricsRegistry
 from .span import NOOP_SPAN, AttrValue, Span, SpanRecord
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "uninstall",
     "tracing",
     "span",
-    "counter_add",
-    "gauge_set",
 ]
 
 
@@ -55,11 +51,10 @@ def _sanctioned_clock() -> Callable[[], float]:
 
 
 class Tracer:
-    """Collects spans and metrics for one traced run."""
+    """Collects the spans of one traced run."""
 
     def __init__(self, name: str = "repro"):
         self.name = name
-        self.metrics = MetricsRegistry()
         wall_clock = _sanctioned_clock()
         self._clock = wall_clock
         self._epoch = wall_clock()
@@ -204,16 +199,3 @@ def span(name: str, **attrs: AttrValue):
         return NOOP_SPAN
     return tracer.span(name, **attrs)
 
-
-def counter_add(name: str, value: float) -> None:
-    """Bump a named counter on the installed tracer's metrics registry."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.metrics.counter(name).add(value)
-
-
-def gauge_set(name: str, value: float) -> None:
-    """Record a gauge sample on the installed tracer's metrics registry."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.metrics.gauge(name).set(value)

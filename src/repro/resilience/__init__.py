@@ -8,22 +8,17 @@
 a per-class reroute-penalty breakdown).
 
 **Serving half** (:mod:`repro.resilience.policies` /
-:mod:`repro.resilience.chaos`): retry with exponential backoff and a
-per-window deadline, a circuit breaker that serves the last-good plan
-through replan storms, and a seeded :class:`ChaosSchedule` (worker
-crashes, injected latency, poison events) driving end-to-end chaos tests.
+:mod:`repro.resilience.chaos`): retry with exponential backoff, a
+circuit breaker that serves the last-good plan through replan storms,
+and a seeded :class:`ChaosSchedule` (worker crashes, injected latency,
+poison events) driving end-to-end chaos tests.
 
 All fault hooks are **off by default**; with ``faults=None`` and no chaos
 schedule the fault-free path is bit-identical to the unfaulted code (the
 bench counters gate this in CI).  See ``docs/resilience.md``.
 """
 
-from .chaos import (
-    ChaosReport,
-    ChaosSchedule,
-    InjectedFault,
-    run_chaos,
-)
+from .chaos import ChaosSchedule, InjectedFault, run_chaos
 from .faults import FaultModel, FaultSpecError, parse_fault_spec
 from .policies import BreakerConfig, CircuitBreaker, RetryPolicy
 
@@ -35,7 +30,6 @@ __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
     "ChaosSchedule",
-    "ChaosReport",
     "InjectedFault",
     "run_chaos",
 ]

@@ -5,7 +5,8 @@ fault decision — no mutable state, no wall clock — so two runs with the
 same seed and schedule inject exactly the same faults at exactly the same
 logical sites (window index x attempt, event position).  That is what
 makes end-to-end chaos runs replayable: the deterministic portion of the
-outcome (:class:`ChaosReport`) is byte-identical across runs.
+outcome (:meth:`~repro.serving.service.ServingReport.results_json`) is
+byte-identical across runs.
 
 Three fault families:
 
@@ -24,9 +25,8 @@ Three fault families:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving imports us)
 __all__ = [
     "InjectedFault",
     "ChaosSchedule",
-    "ChaosReport",
     "run_chaos",
 ]
 
@@ -151,105 +150,20 @@ class ChaosSchedule:
                 yield poison
 
 
-@dataclass
-class ChaosReport:
-    """The *deterministic* outcome of one chaos run.
-
-    Everything here is a pure function of (stream, spec, config,
-    schedule): simulated cycles, plan decisions, retry/failure/quarantine
-    counts.  Wall-clock telemetry (latencies, throughput) is deliberately
-    excluded so :meth:`to_json` byte-compares across identical runs.
-    """
-
-    windows: int = 0
-    windows_failed: int = 0
-    retries: int = 0
-    quarantined_events: int = 0
-    breaker_trips: int = 0
-    breaker_hits: int = 0
-    #: 1 when the run resumed from a durable checkpoint
-    resumes: int = 0
-    #: windows restored from the checkpoint on a resumed run
-    recovered_windows: int = 0
-    plan_decisions: List[str] = field(default_factory=list)
-    per_window_cycles: List[float] = field(default_factory=list)
-    failures: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def total_cycles(self) -> float:
-        """Accelerator cycles over all successfully served windows."""
-        return sum(self.per_window_cycles)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat JSON-ready mapping (stable key order via :meth:`to_json`)."""
-        return {
-            "windows": self.windows,
-            "windows_failed": self.windows_failed,
-            "retries": self.retries,
-            "quarantined_events": self.quarantined_events,
-            "breaker_trips": self.breaker_trips,
-            "breaker_hits": self.breaker_hits,
-            "resumes": self.resumes,
-            "recovered_windows": self.recovered_windows,
-            "plan_decisions": list(self.plan_decisions),
-            "per_window_cycles": list(self.per_window_cycles),
-            "failures": list(self.failures),
-            "total_cycles": self.total_cycles,
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization for byte-identity comparisons."""
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
-    def summary(self) -> str:
-        """Human-readable chaos outcome."""
-        line = (
-            f"chaos outcome      {self.windows} windows served, "
-            f"{self.windows_failed} failed permanently, "
-            f"{self.retries} retries, "
-            f"{self.quarantined_events} events quarantined, "
-            f"breaker {self.breaker_trips} trips / "
-            f"{self.breaker_hits} short-circuits"
-        )
-        if self.resumes:
-            line += f", resumed with {self.recovered_windows} recovered"
-        return line
-
-
-def chaos_report_from(report: "ServingReport") -> ChaosReport:
-    """Extract the deterministic portion of a :class:`ServingReport`."""
-    stats = report.stats
-    return ChaosReport(
-        windows=len(report.results),
-        windows_failed=stats.windows_failed,
-        retries=stats.retries,
-        quarantined_events=stats.quarantined_events,
-        breaker_trips=stats.breaker_trips,
-        breaker_hits=stats.plan_breaker_hits,
-        resumes=stats.resumes,
-        recovered_windows=stats.recovered_windows,
-        plan_decisions=[r.plan_decision for r in stats.records],
-        per_window_cycles=[r.execution_cycles for r in report.results],
-        failures=[
-            {"index": f.index, "attempts": f.attempts, "error": f.error}
-            for f in stats.failures
-        ],
-    )
-
-
 def run_chaos(
     stream: "ContinuousDynamicGraph",
     spec: "DGNNSpec",
     schedule: ChaosSchedule,
     config: Optional["ServiceConfig"] = None,
     model: Optional["DiTileAccelerator"] = None,
-) -> "tuple[ServingReport, ChaosReport]":
+) -> "ServingReport":
     """End-to-end chaos run: serve ``stream`` under ``schedule``.
 
     Starts from ``config`` (or a resilient default with retry, breaker
-    and quarantine enabled), forces the schedule in, and returns both the
-    full :class:`~repro.serving.service.ServingReport` and the
-    deterministic :class:`ChaosReport` distilled from it.
+    and quarantine enabled), forces the schedule in, and returns the
+    :class:`~repro.serving.service.ServingReport`; its
+    :meth:`~repro.serving.service.ServingReport.results_json` is the
+    run's deterministic outcome.
     """
     from dataclasses import replace
 
@@ -267,6 +181,4 @@ def run_chaos(
             "chaos runs need a retry policy; a bare crash would abort the "
             "stream instead of degrading gracefully"
         )
-    service = StreamingService(model, config)
-    report = service.serve(stream, spec)
-    return report, chaos_report_from(report)
+    return StreamingService(model, config).serve(stream, spec)

@@ -10,7 +10,6 @@ Wall-clock only enters through backoff *sleeps* — delays, never decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["RetryPolicy", "BreakerConfig", "CircuitBreaker"]
 
@@ -19,16 +18,13 @@ __all__ = ["RetryPolicy", "BreakerConfig", "CircuitBreaker"]
 class RetryPolicy:
     """Exponential-backoff retry budget for one window execution.
 
-    ``deadline_s`` bounds the *total* wall time a window may spend across
-    attempts (measured by the dispatcher against the sanctioned
-    :func:`~repro.serving.stats.wall_clock`); ``None`` means attempts are
-    the only bound, which keeps retry behaviour fully deterministic.
+    Attempts are the only bound, so whether a window fails is a function
+    of the fault sequence, never of how long the attempts took.
     """
 
     max_attempts: int = 3
     backoff_s: float = 0.001
     multiplier: float = 2.0
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -37,8 +33,6 @@ class RetryPolicy:
             raise ValueError("backoff_s must be >= 0")
         if self.multiplier < 1.0:
             raise ValueError("multiplier must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based failed attempts)."""

@@ -28,7 +28,7 @@ same discretized stream, regardless of worker count, batching, or queue
 timing.
 
 Graceful degradation (all off by default — see ``docs/resilience.md``):
-retry with exponential backoff and per-window deadlines
+retry with exponential backoff
 (:class:`~repro.resilience.policies.RetryPolicy`), a plan-manager circuit
 breaker serving the last-good plan through replan storms, a dead-letter
 queue for malformed events (``quarantine=True``), and a seeded chaos

@@ -29,7 +29,7 @@ from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import GraphSnapshot
 from ..obs import span as obs_span
 from .plan_manager import WindowPlan
-from .stats import timed_call, wall_clock
+from .stats import timed_call
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
     from ..resilience.chaos import ChaosSchedule
@@ -167,7 +167,7 @@ class WindowRunner:
 
         Returns ``(result, seconds, retries, failure)``: ``failure`` is
         ``None`` on success, else ``(attempts, error)`` once the attempt
-        budget (or the per-window deadline) is exhausted — a permanent
+        budget is exhausted — a permanent
         window failure the dispatcher records instead of raising, so one
         poisoned window cannot abort the stream.  Without a retry policy
         the first exception propagates (the pre-resilience behaviour).
@@ -176,7 +176,6 @@ class WindowRunner:
         if policy is None:
             result, seconds = self.execute(transition, plan, index)
             return result, seconds, 0, None
-        started = wall_clock()
         retries = 0
         attempt = 1
         while True:
@@ -187,15 +186,6 @@ class WindowRunner:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempt >= policy.max_attempts:
                     return None, 0.0, retries, (attempt, error)
-                if (
-                    policy.deadline_s is not None
-                    and wall_clock() - started >= policy.deadline_s
-                ):
-                    return None, 0.0, retries, (
-                        attempt,
-                        f"deadline {policy.deadline_s}s exceeded after "
-                        f"{attempt} attempts; last error: {error}",
-                    )
                 time.sleep(policy.backoff(attempt))
                 retries += 1
                 attempt += 1

@@ -278,8 +278,6 @@ class WindowedIngestor:
         self.builder = IncrementalWindowBuilder(num_vertices, feature_dim, initial)
         self.late_events = 0
         self.total_events = 0
-        #: events consumed into already-recovered windows during a resume
-        self.replayed_events = 0
         #: dead-letter queue (populated only with ``quarantine=True``)
         self.rejected: List[RejectedEvent] = []
 
@@ -392,11 +390,9 @@ class WindowedIngestor:
                 RejectedEvent(event, event_fault(event, space), start + int(row))
             )
         self.late_events += int(np.count_nonzero(late))
-        keep = ~(faulty | late)
         if index < self.start_window:
-            self.replayed_events += int(np.count_nonzero(keep))
             return None
-        return self._close(index, columns.take(keep))
+        return self._close(index, columns.take(~(faulty | late)))
 
     def windows(self, events: Iterable[EdgeEvent]) -> Iterator[Window]:
         """Consume ``events`` and yield windows as they close.
@@ -418,8 +414,8 @@ class WindowedIngestor:
         runs from 0 — validation, origin anchoring, and the late-event
         rule see exactly what the uninterrupted run saw — but windows
         below the watermark are *suppressed*: their events are dropped at
-        close (counted in ``replayed_events``) instead of being applied,
-        because the builder's initial snapshot already contains them.
+        close instead of being applied, because the initial snapshot
+        already contains them.
         """
         current = 0
         start = 0  # stream position of pending[0]

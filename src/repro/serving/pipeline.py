@@ -57,7 +57,6 @@ from typing import Deque, List, NamedTuple, Optional
 from ..accel.metrics import SimulationResult
 from ..core.plan import DGNNSpec
 from ..graphs.snapshot import GraphSnapshot
-from ..obs import gauge_set as obs_gauge_set
 from ..obs import span as obs_span
 from .executor import WindowExecutor, WindowRunner, transition_graph
 from .ingest import Window
@@ -198,8 +197,6 @@ class WindowPipeline:
             if not self._in_flight:
                 break
             self._collect(self._in_flight.popleft())
-        obs_gauge_set("serve.pipeline_depth", self.depth)
-        obs_gauge_set("serve.overlap_ratio", self._stats.overlap_ratio)
 
     # ------------------------------------------------------------------
     # Fill stage: pull -> resolve (in order) -> submit
@@ -218,7 +215,6 @@ class WindowPipeline:
             if batch is None:
                 return
             self._stats.record_queue_depth(upstream)
-            obs_gauge_set("serve.queue_depth", upstream)
             self._submit(batch)
 
     def _window_profile(self, window: Window) -> WindowProfile:
@@ -273,7 +269,6 @@ class WindowPipeline:
         self._stats.max_inflight_batches = max(
             self._stats.max_inflight_batches, len(self._in_flight)
         )
-        obs_gauge_set("serve.inflight_batches", len(self._in_flight))
 
     # ------------------------------------------------------------------
     # Collect stage: oldest batch, futures in window order
@@ -304,7 +299,6 @@ class WindowPipeline:
                             index=window.index,
                             num_events=window.num_events,
                             latency_s=wall_clock() - window.closed_at,
-                            cycles=result.execution_cycles,
                             plan_decision=decision_value,
                         )
                     )

@@ -36,7 +36,6 @@ from ..caching import LRUCache
 from ..core.plan import DGNNSpec, ExecutionPlan
 from ..ditile import DiTileAccelerator
 from ..graphs.dynamic import DynamicGraph
-from ..obs import counter_add as obs_counter_add
 from ..obs import span as obs_span
 from ..resilience.policies import BreakerConfig, CircuitBreaker
 from .signature import DriftDetector, WindowProfile, WorkloadSignature
@@ -122,7 +121,6 @@ class PlanManager:
             plan, decision = self._resolve(transition, spec, profile)
             if sp.enabled:
                 sp.set_attr("decision", decision.value)
-                obs_counter_add(f"plan_cache.{decision.value}", 1)
             return plan, decision
 
     def _resolve(
@@ -237,18 +235,6 @@ class PlanManager:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def lookups(self) -> int:
-        """Total resolve calls."""
-        return self.hits + self.misses + self.replans + self.breaker_hits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of windows served from cache without re-planning."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
     @property
     def size(self) -> int:
         """Plans currently cached."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import queue
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # import-cycle guard: durability imports serving.stats
@@ -45,7 +45,6 @@ from ..core.plan import DGNNSpec
 from ..ditile import DiTileAccelerator
 from ..graphs.continuous import ContinuousDynamicGraph
 from ..graphs.snapshot import GraphSnapshot
-from ..obs import gauge_set as obs_gauge_set
 from ..obs import span as obs_span
 from ..resilience.chaos import ChaosSchedule
 from ..resilience.faults import FaultModel
@@ -119,6 +118,10 @@ class ServiceConfig:
             raise ValueError("workers must be >= 0")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
+        if self.plan_cache_capacity < 1:
+            raise ValueError("plan_cache_capacity must be >= 1")
+        if self.drift_threshold <= 0:
+            raise ValueError("drift_threshold must be positive")
 
 
 @dataclass
@@ -139,14 +142,17 @@ class ServingReport:
         return sum(r.execution_cycles for r in self.results)
 
     def results_json(self) -> str:
-        """The deterministic per-window results, as JSON.
+        """The run's deterministic outcome, as JSON.
 
-        Only simulation-derived fields (never wall-clock timings), so two
-        runs over the same stream are byte-identical whatever the pipeline
-        depth, worker count or crash point: ``repro serve --results-json``
-        writes this, and the CI pipeline-parity and chaos-recovery jobs
-        diff the dumps directly.
+        Per-window results plus the resilience counters: only
+        simulation-derived fields and counts (never wall-clock timings),
+        so two runs over the same stream and config are byte-identical
+        whatever the pipeline depth, worker count or crash point.
+        ``repro serve --results-json`` and ``repro chaos serve --json``
+        write this, and the CI parity, chaos and recovery jobs diff the
+        dumps directly.
         """
+        stats = self.stats
         windows = [
             {
                 "index": record.index,
@@ -159,9 +165,18 @@ class ServingReport:
                 "noc_byte_hops": result.noc_byte_hops,
                 "energy_joules": result.energy_joules,
             }
-            for record, result in zip(self.stats.records, self.results)
+            for record, result in zip(stats.records, self.results)
         ]
-        return json.dumps({"windows": windows}, indent=2, sort_keys=True)
+        outcome = {
+            "windows": windows,
+            "retries": stats.retries,
+            "windows_failed": stats.windows_failed,
+            "quarantined_events": stats.quarantined_events,
+            "breaker_trips": stats.breaker_trips,
+            "plan_breaker_hits": stats.plan_breaker_hits,
+            "failures": [asdict(failure) for failure in stats.failures],
+        }
+        return json.dumps(outcome, indent=2, sort_keys=True)
 
 
 class StreamingService:
@@ -373,18 +388,6 @@ class StreamingService:
         stats.from_plan_manager(manager)
         if dur is not None:
             dur.finalize_stats(stats)
-        obs_gauge_set("serve.plan_cache_hit_rate", stats.plan_hit_rate)
-        if (
-            cfg.retry is not None
-            or cfg.breaker is not None
-            or cfg.quarantine
-            or chaos is not None
-        ):
-            obs_gauge_set("serve.retries", stats.retries)
-            obs_gauge_set("serve.windows_failed", stats.windows_failed)
-            obs_gauge_set("serve.quarantined_events", stats.quarantined_events)
-            obs_gauge_set("serve.breaker_trips", stats.breaker_trips)
-            obs_gauge_set("serve.plan_breaker_hits", stats.plan_breaker_hits)
         return ServingReport(results=results, stats=stats)
 
 

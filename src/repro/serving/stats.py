@@ -83,7 +83,6 @@ class WindowRecord:
     index: int
     num_events: int
     latency_s: float  # window close (ingest) -> result available
-    cycles: float
     plan_decision: str  # "hit" | "miss" | "replan" | "breaker"
 
 
@@ -135,7 +134,7 @@ class ServiceStats:
     # resilience hooks at their defaults — the bench gate relies on it).
     #: execution attempts beyond the first, across all windows
     retries: int = 0
-    #: windows that exhausted their retry budget (or deadline)
+    #: windows that exhausted their retry budget
     windows_failed: int = 0
     #: malformed events diverted to the ingest dead-letter queue
     quarantined_events: int = 0

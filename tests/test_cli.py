@@ -144,6 +144,40 @@ class TestCommands:
         assert written == (report.results_json() + "\n").encode()
 
     @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--plan-cache-capacity", "plan_cache_capacity"),
+            ("--drift-threshold", "drift_threshold"),
+        ],
+    )
+    def test_bad_plan_cache_setting_leaves_the_wal_directory_unused(
+        self, tmp_path, capsys, flag, field
+    ):
+        wal = tmp_path / "wal"
+        args = ["serve", "--vertices", "64", "--events", "500", "--wal", str(wal)]
+        with pytest.raises(ValueError, match=field):
+            main([*args, flag, "0"])
+        assert not wal.exists()
+        assert main(args) == 0  # the corrected rerun may use the directory
+        capsys.readouterr()
+
+    def test_chaos_serve_json_is_the_results_json(self, tmp_path, capsys):
+        out = tmp_path / "chaos.json"
+        assert main(
+            ["chaos", "serve", "--events", "600", "--vertices", "32",
+             "--hidden-dim", "16", "--crash-rate", "0.3", "--json", str(out)]
+        ) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("windows served") == 1  # one summary
+        assert "resilience" in printed
+        outcome = json.loads(out.read_text())
+        assert set(outcome) == {
+            "windows", "retries", "windows_failed", "quarantined_events",
+            "breaker_trips", "plan_breaker_hits", "failures",
+        }
+        assert outcome["retries"] > 0 and outcome["windows_failed"] == 0
+
+    @pytest.mark.parametrize(
         "flag",
         [
             ["--wal", "wal"],
@@ -343,7 +377,7 @@ class TestTrace:
         assert main(["plan", *self.WORKLOAD, "--trace", str(out_dir)]) == 0
         capsys.readouterr()
         payload = json.loads((out_dir / "phases.json").read_text())
-        assert set(payload) == {"phases", "metrics"}
+        assert set(payload) == {"phases"}
 
         def names_sorted(node):
             names = [c["name"] for c in node["children"]]

@@ -40,7 +40,7 @@ from repro.durability import (
 from repro.durability.wal import LockInfo, _scan_segment
 from repro.graphs.continuous import EdgeEvent, window_index
 from repro.obs.slo import SLOMonitor
-from repro.resilience.chaos import ChaosSchedule
+from repro.resilience import BreakerConfig, ChaosSchedule, RetryPolicy
 from repro.serving import (
     PlanManager,
     ServiceConfig,
@@ -567,7 +567,7 @@ class TestDurableServing:
         paths = list(crash.durability.checkpoint_dir.glob("ckpt-*.bin"))
         assert paths
         for path in paths:
-            path.write_bytes(b"RDCKPT1\n" + path.read_bytes()[8:])
+            path.write_bytes(b"RDCKPT2\n" + path.read_bytes()[8:])
         resumed = _serve(
             stream,
             replace(
@@ -636,6 +636,56 @@ class TestDurableServing:
             assert run.replayed_windows == 2
         finally:
             run.close()
+
+
+# ---------------------------------------------------------------------------
+# Chaos runs: retries, a tripped breaker and poison events across a crash
+# ---------------------------------------------------------------------------
+class TestChaosCrashPointParity:
+    """The CI chaos-smoke run (``repro chaos serve --events 1500
+    --vertices 64 --seed 7 --chaos-seed 3 --crash-rate 0.15 --latency-rate
+    0.1 --latency-s 0.0005 --poison-rate 0.02 --max-attempts 6``), crashed
+    after a commit and resumed, has the uninterrupted run's outcome."""
+
+    @pytest.fixture(scope="class")
+    def chaos_run(self):
+        stream = synthetic_event_stream(num_vertices=64, num_events=1500, seed=7)
+        first, last = stream.time_span
+        config = ServiceConfig(
+            window=(last - first) / 32.0,
+            retry=RetryPolicy(max_attempts=6, backoff_s=0.0005),
+            breaker=BreakerConfig(),
+            quarantine=True,
+            chaos=ChaosSchedule(
+                seed=3, crash_rate=0.15, latency_rate=0.1, latency_s=0.0005,
+                poison_rate=0.02,
+            ),
+        )
+        spec = DGNNSpec.classic(64, 64)
+        reference = StreamingService(config=config).serve(stream, spec)
+        return stream, spec, config, reference
+
+    @pytest.mark.parametrize("kill_point", [3, 9, 17, 25])
+    def test_resumed_outcome_matches(self, chaos_run, tmp_path, kill_point):
+        stream, spec, config, reference = chaos_run
+        stats = reference.stats  # the schedule exercises every counter
+        assert stats.retries and stats.breaker_trips and stats.quarantined_events
+
+        def serve(**durability):
+            durable = replace(
+                config,
+                durability=DurabilityConfig(
+                    directory=tmp_path, fsync=False, **durability
+                ),
+            )
+            return StreamingService(config=durable).serve(stream, spec)
+
+        with pytest.raises(SimulatedCrash):
+            serve(abort_after_commit=kill_point)
+        resumed = serve(resume=True)
+        assert resumed.results_json() == reference.results_json()
+        assert resumed.stats.resumes == 1
+        assert resumed.stats.recovered_windows == kill_point + 1
 
 
 # ---------------------------------------------------------------------------

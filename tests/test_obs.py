@@ -1,4 +1,4 @@
-"""Unit tests for the repro.obs tracing/metrics/export/report stack."""
+"""Unit tests for the repro.obs tracing/export/report stack."""
 
 import json
 import re
@@ -10,7 +10,6 @@ import pytest
 from repro.core.plan import DGNNSpec
 from repro.obs import (
     NOOP_SPAN,
-    MetricsRegistry,
     SLOMonitor,
     SLOTarget,
     Tracer,
@@ -18,9 +17,7 @@ from repro.obs import (
     build_phase_report,
     chrome_trace_events,
     collapsed_stacks,
-    counter_add,
     default_targets,
-    gauge_set,
     install,
     span,
     tracing,
@@ -82,10 +79,6 @@ class TestGlobalSwitch:
             sp.set_attr("k", "v")
             sp.add("cycles", 10.0)
         assert sp is NOOP_SPAN
-
-    def test_counter_and_gauge_are_noops_when_off(self):
-        counter_add("c", 1.0)  # must not raise
-        gauge_set("g", 2.0)
 
     def test_install_uninstall_roundtrip(self):
         tracer = install(Tracer("t"))
@@ -189,31 +182,6 @@ class TestSpans:
         assert outer.start_us <= inner.start_us
 
 
-class TestMetrics:
-    def test_counter_totals_and_events(self):
-        reg = MetricsRegistry()
-        reg.counter("hits").add(1)
-        reg.counter("hits").add(2)
-        c = reg.as_dict()["counters"]["hits"]
-        assert c == {"total": 3.0, "events": 2}
-
-    def test_gauge_tracks_extremes_and_mean(self):
-        reg = MetricsRegistry()
-        for v in (3.0, 1.0, 2.0):
-            reg.gauge("depth").set(v)
-        g = reg.as_dict()["gauges"]["depth"]
-        assert g["last"] == 2.0 and g["min"] == 1.0 and g["max"] == 3.0
-        assert g["mean"] == 2.0
-
-    def test_registry_helpers_route_to_active_tracer(self):
-        with tracing() as tracer:
-            counter_add("c", 2.0)
-            gauge_set("g", 5.0)
-        snap = tracer.metrics.as_dict()
-        assert snap["counters"]["c"]["total"] == 2.0
-        assert snap["gauges"]["g"]["last"] == 5.0
-
-
 class TestExport:
     def _traced(self):
         with tracing() as tracer:
@@ -280,10 +248,10 @@ class TestPhaseReport:
         with tracing() as tracer:
             with span("a") as sp:
                 sp.add("x", 1.0)
-            gauge_set("g", 4.0)
         payload = json.loads(build_phase_report(tracer).render_json())
+        assert set(payload) == {"phases"}
         assert payload["phases"]["children"][0]["name"] == "a"
-        assert payload["metrics"]["gauges"]["g"]["last"] == 4.0
+        assert payload["phases"]["children"][0]["counters"] == {"x": 1.0}
 
 
 class TestTraceSession:

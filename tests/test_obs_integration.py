@@ -133,17 +133,6 @@ class TestServingSpans:
         assert decisions.count("miss") == report.stats.plan_misses
         assert decisions.count("replan") == report.stats.plan_replans
 
-    def test_plan_cache_metrics_and_gauges(self, traced_serve):
-        tracer, report = traced_serve
-        snap = tracer.metrics.as_dict()
-        counters = snap["counters"]
-        if report.stats.plan_misses:
-            assert counters["plan_cache.miss"]["total"] == report.stats.plan_misses
-        assert "serve.queue_depth" in snap["gauges"]
-        assert snap["gauges"]["serve.plan_cache_hit_rate"]["last"] == (
-            pytest.approx(report.stats.plan_hit_rate)
-        )
-
     def test_execute_cycles_match_served_results(self, traced_serve):
         tracer, report = traced_serve
         traced = sum(r.counters["cycles"] for r in tracer.find("execute"))

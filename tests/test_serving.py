@@ -141,7 +141,7 @@ class TestPlanManager:
         plan2, d2 = manager.resolve(graph, SPEC)
         assert d1 is PlanDecision.MISS and d2 is PlanDecision.HIT
         assert plan1 is plan2
-        assert manager.hit_rate == pytest.approx(0.5)
+        assert (manager.hits, manager.misses) == (1, 1)
 
     def test_drift_triggers_replan_within_same_bucket(self):
         manager = PlanManager(DiTileAccelerator(), capacity=4, drift_threshold=0.01)
@@ -368,6 +368,10 @@ class TestStreamingService:
             ServiceConfig(queue_capacity=0)
         with pytest.raises(ValueError):
             ServiceConfig(workers=-1)
+        with pytest.raises(ValueError, match="plan_cache_capacity"):
+            ServiceConfig(plan_cache_capacity=0)
+        with pytest.raises(ValueError, match="drift_threshold"):
+            ServiceConfig(drift_threshold=0.0)
 
     def test_serve_reports_stats(self):
         stream = synthetic_event_stream(num_vertices=48, num_events=1200, seed=9)

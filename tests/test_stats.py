@@ -63,7 +63,6 @@ class TestServiceStatsTelemetry:
                     index=i,
                     num_events=1,
                     latency_s=latency,
-                    cycles=1.0,
                     plan_decision="hit",
                 )
             )
