@@ -6,7 +6,7 @@ service layer (paper §2.1 streams + the ROADMAP's serving north star):
 
 1. synthesize a bursty power-law interaction stream;
 2. serve it through the three-stage pipeline — threaded incremental
-   ingest, LRU plan cache with drift-triggered re-planning, batched
+   ingest, LRU plan cache keyed by workload signature, batched
    worker-pool simulation with bounded-queue backpressure;
 3. print the service statistics (throughput, latency percentiles, cache
    behaviour);
@@ -28,7 +28,7 @@ from repro import (
 
 def main():
     # 1. A synthetic interaction stream: hub-heavy destinations, ~15%
-    #    unfollows, bursty arrival times (stress for the drift detector).
+    #    unfollows, bursty arrival times (stress for the plan cache).
     stream = synthetic_event_stream(
         num_vertices=300,
         num_events=8_000,
@@ -50,7 +50,6 @@ def main():
         max_batch_windows=4,
         queue_capacity=8,
         plan_cache_capacity=32,
-        drift_threshold=0.25,
     )
     spec = DGNNSpec.classic(64)
     model = DiTileAccelerator()

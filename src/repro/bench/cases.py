@@ -10,7 +10,7 @@ Wraps the repo's existing scenarios as registered cases:
   simulated on one Table 1 dataset (cycles, DRAM bytes, NoC byte-hops,
   MACs, energy);
 * ``serving/*`` — the online streaming service (window counts,
-  plan-cache hit/miss/replan/eviction counters, modeled cycles, plus
+  plan-cache hit/miss/eviction counters, modeled cycles, plus
   elapsed/latency timings).
 
 Every case fixes its seeds and scales, so its counters are pure
@@ -199,7 +199,7 @@ def serving_throughput(
 
     Deterministic counters cover the served-window accounting and the
     plan cache (resolution is sequential in window order by design, so
-    hit/miss/replan/eviction counts do not depend on worker timing);
+    hit/miss/eviction counts do not depend on worker timing);
     elapsed time and latency land in the timing class, in seconds like
     every timing (events/s is ``events / elapsed_s``).
     """
@@ -226,7 +226,6 @@ def serving_throughput(
             "late_events": float(stats.late_events),
             "plan_hits": float(stats.plan_hits),
             "plan_misses": float(stats.plan_misses),
-            "plan_replans": float(stats.plan_replans),
             "plan_evictions": float(stats.plan_evictions),
             "plan_cache_size": float(stats.plan_cache_size),
             "total_cycles": report.total_cycles,
@@ -281,7 +280,6 @@ def serving_pipeline(
             "late_events": float(stats.late_events),
             "plan_hits": float(stats.plan_hits),
             "plan_misses": float(stats.plan_misses),
-            "plan_replans": float(stats.plan_replans),
             "plan_evictions": float(stats.plan_evictions),
             "plan_cache_size": float(stats.plan_cache_size),
             "total_cycles": report.total_cycles,

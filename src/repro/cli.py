@@ -379,8 +379,6 @@ def _add_stream_args(parser: argparse.ArgumentParser) -> None:
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     """The :class:`ServiceConfig` knobs every serving command shares."""
     group = parser.add_argument_group("service")
-    group.add_argument("--drift-threshold", type=float, default=0.25,
-                       help="relative workload change that forces a re-plan")
     group.add_argument("--workers", type=int, default=2,
                        help="simulation worker threads (0 = inline)")
     group.add_argument("--batch", type=int, default=4,
@@ -429,10 +427,6 @@ def _add_slo_args(parser: argparse.ArgumentParser) -> None:
         help="SLO target: durable-resume ceiling (default: 0)",
     )
     group.add_argument(
-        "--overlap-floor", type=float, default=0.0, metavar="F",
-        help="SLO target: pipeline overlap-ratio floor (default: 0.0)",
-    )
-    group.add_argument(
         "--slo-json", default=None, metavar="OUT",
         help="evaluate the SLO targets and write the health report "
         "(JSON) to OUT",
@@ -475,7 +469,6 @@ def _emit_slo(args: argparse.Namespace, stats, fmt: str = "text") -> int:
         default_targets(
             p95_latency_s=args.p95_latency,
             restart_budget=args.restart_budget,
-            overlap_floor=args.overlap_floor,
         )
     ).evaluate(stats)
     if fmt == "json":
@@ -636,7 +629,6 @@ def _serve_setup(args: argparse.Namespace, **fields):
         pipeline_depth=args.pipeline_depth,
         queue_capacity=args.queue_capacity,
         plan_cache_capacity=args.plan_cache_capacity,
-        drift_threshold=args.drift_threshold,
         **fields,
     )
     return stream, spec, config

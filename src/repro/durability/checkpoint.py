@@ -4,7 +4,7 @@ A checkpoint captures everything recovery needs to make the resumed run
 byte-identical to the uninterrupted one from the *watermark* onwards:
 
 * the graph snapshot as of the last committed window;
-* the plan-manager state (cache entries in LRU order, hit/miss/replan
+* the plan-manager state (cache entries in LRU order, hit/miss/eviction
   counters, circuit-breaker scalars) so post-resume plan decisions
   match the uninterrupted run exactly.  Each cached plan is a
   :class:`~repro.serving.plan_manager.WindowPlan` — a placement and a
@@ -12,7 +12,9 @@ byte-identical to the uninterrupted one from the *watermark* onwards:
   only graph a checkpoint holds;
 * the per-window results and latency records already produced, so the
   final report contains every window, not just the replayed suffix;
-* the stats counters that summarize the committed prefix.
+* the stats counters that summarize the committed prefix;
+* the run's shape (window grid, vertex space, DGNN spec), which a resume
+  must match.
 
 File format: ``MAGIC || len u32 || crc32 u32 || pickle(payload)``,
 written to ``ckpt-{watermark:08d}.bin`` via write-to-temp, fsync,
@@ -39,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["Checkpoint", "CheckpointError", "CheckpointStore"]
 
 #: bumped whenever the pickled payload changes shape
-_MAGIC = b"RDCKPT3\n"
+_MAGIC = b"RDCKPT4\n"
 _HEADER = struct.Struct("<II")  # payload length, payload crc32
 
 
@@ -61,11 +63,10 @@ class Checkpoint:
     results: List[Any] = field(default_factory=list)
     #: per-window latency records matching ``results``
     records: List[Any] = field(default_factory=list)
-    #: committed-prefix stats counters (events, late_events, ...)
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: stream positions logged to the WAL when this checkpoint was cut
-    wal_records: int = 0
-    #: run-shape fingerprint (window, origin) checked on resume
+    #: committed-prefix stats counters (retries, windows_failed, failures)
+    counters: Dict[str, Any] = field(default_factory=dict)
+    #: run-shape fingerprint (window, origin, num_vertices, spec) checked
+    #: on resume — :attr:`~repro.durability.recovery.DurableRun.meta`
     meta: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -37,8 +37,9 @@ from __future__ import annotations
 import itertools
 import os
 import signal
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..core.plan import DGNNSpec
 from ..graphs.continuous import EdgeEvent, EventColumns
 from ..obs import span as obs_span
 from ..serving.ingest import classify_events
@@ -129,12 +130,16 @@ class DurableRun:
         config: DurabilityConfig,
         window: float,
         num_vertices: int,
+        spec: DGNNSpec,
         origin: Optional[float] = None,
     ):
         self.config = config
         self.window_length = window
         #: the stream's vertex space, which ingest validates events against
         self.num_vertices = num_vertices
+        #: the model the run serves, which the checkpointed plans and
+        #: snapshot were built for
+        self.spec = spec
         self.origin = origin
         self.wal: Optional[WriteAheadLog] = None
         #: replayed ``(position, event)`` records, append order
@@ -190,7 +195,9 @@ class DurableRun:
                         self.checkpoint is not None
                     )
             except BaseException:
-                self._lock.release()
+                # Close the log a refused resume already opened, then
+                # release the lock.
+                self.close()
                 raise
             self.replayed_windows = self._compute_replayed_windows()
             # Setup-only cost; refined by note_commit once the run
@@ -210,24 +217,33 @@ class DurableRun:
             cfg.checkpoint_dir.glob("ckpt-*.bin")
         )
 
-    def _check_meta(self) -> None:
-        """Refuse a checkpoint cut with a different window grid.
+    @property
+    def meta(self) -> Dict[str, Any]:
+        """The run-shape fingerprint every checkpoint records.
 
         ``window`` and ``origin`` together fix which window every event
-        lands in, so resuming under either changed would splice two
-        different window sequences into one run.
+        lands in; ``num_vertices`` and ``spec`` fix the graph and model
+        the checkpointed snapshot and plans were built for.  Resuming
+        under any of them changed would splice two different runs into
+        one, so :meth:`start` refuses it.
         """
+        return {
+            "window": self.window_length,
+            "origin": self.origin,
+            "num_vertices": self.num_vertices,
+            "spec": self.spec,
+        }
+
+    def _check_meta(self) -> None:
+        """Refuse a checkpoint cut with a different run shape (:attr:`meta`)."""
         if self.checkpoint is None:
             return
-        meta = self.checkpoint.meta
-        for key, requested in (
-            ("window", self.window_length),
-            ("origin", self.origin),
-        ):
-            if key in meta and meta[key] != requested:
+        recorded = self.checkpoint.meta
+        for key, requested in self.meta.items():
+            if recorded.get(key) != requested:
                 raise ValueError(
-                    f"checkpoint was cut with {key}={meta[key]}, resume "
-                    f"requested {key}={requested}; refusing to mix"
+                    f"checkpoint was cut with {key}={recorded.get(key)}, "
+                    f"resume requested {key}={requested}; refusing to mix"
                 )
 
     def _compute_replayed_windows(self) -> int:

@@ -8,8 +8,8 @@ stats into structured
 record per served window for the latency target, so a report shows not
 just *that* p95 latency breached but *which* windows breached it.
 
-The monitor reads only the telemetry layer (wall-clock latencies,
-the resume counter, overlap ratio) — never the deterministic
+The monitor reads only the telemetry layer (wall-clock latencies and
+the resume counter) — never the deterministic
 simulation results — so attaching it can never perturb parity.  Exit
 semantics mirror ``repro lint``: healthy -> 0, any violated target -> 1
 (``repro slo`` and ``--slo-json`` on serve/chaos).
@@ -89,22 +89,17 @@ class HealthRecord:
 def default_targets(
     p95_latency_s: float = 0.5,
     restart_budget: float = 0.0,
-    overlap_floor: float = 0.0,
 ) -> Tuple[SLOTarget, ...]:
     """The standard target set (the ``repro slo`` CLI's knobs).
 
     * ``p95_window_latency`` — 95th-percentile close-to-result window
       latency at or under ``p95_latency_s`` seconds;
     * ``restart_budget`` — durable resumes at or under
-      ``restart_budget`` (0 for non-durable runs);
-    * ``overlap_floor`` — pipeline overlap ratio at or over
-      ``overlap_floor`` (0.0 disables the floor: a zero-window run
-      legitimately overlaps nothing).
+      ``restart_budget`` (0 for non-durable runs).
     """
     return (
         SLOTarget("p95_latency_s", "max", p95_latency_s, "p95_window_latency"),
         SLOTarget("restarts", "max", restart_budget, "restart_budget"),
-        SLOTarget("overlap_ratio", "min", overlap_floor, "overlap_floor"),
     )
 
 

@@ -9,7 +9,7 @@ a per-class reroute-penalty breakdown).
 
 **Serving half** (:mod:`repro.resilience.policies` /
 :mod:`repro.resilience.chaos`): retry with exponential backoff, a
-circuit breaker that serves the last-good plan through replan storms,
+circuit breaker that serves the last-good plan through plan-miss storms,
 and a seeded :class:`ChaosSchedule` (worker crashes, injected latency,
 poison events) driving end-to-end chaos tests.
 

@@ -45,11 +45,11 @@ class RetryPolicy:
 class BreakerConfig:
     """Tunables of the plan-manager circuit breaker.
 
-    ``threshold`` consecutive scheduler invocations (misses or drift
-    re-plans, i.e. a replan storm) trip the breaker open; while open, the
-    next ``cooldown`` resolutions are served from the last-good plan
-    without touching the scheduler, after which the breaker half-opens
-    and one real resolution is allowed through.
+    ``threshold`` consecutive scheduler invocations (plan-cache misses,
+    i.e. a miss storm) trip the breaker open; while open, the next
+    ``cooldown`` misses are served the last-good plan without touching
+    the scheduler, after which the breaker half-opens and one real
+    resolution is allowed through.
     """
 
     threshold: int = 4

@@ -12,8 +12,8 @@ simulate) into a three-stage online service:
 2. **Plan management** (:mod:`repro.serving.plan_manager`) — caches the
    scheduler's decision (a :class:`~repro.serving.plan_manager.WindowPlan`:
    placement and tiling ``alpha``) in an LRU keyed by a quantized
-   workload signature, re-invoking the scheduler only when a drift
-   detector observes the workload has moved beyond a threshold.
+   workload signature, re-invoking the scheduler only when a window's
+   signature misses the cache.
 3. **Execution** (:mod:`repro.serving.executor` /
    :mod:`repro.serving.pipeline` / :mod:`repro.serving.service`) —
    batches pending windows, keeps up to ``pipeline_depth`` batches in
@@ -30,7 +30,7 @@ timing.
 Graceful degradation (all off by default — see ``docs/resilience.md``):
 retry with exponential backoff
 (:class:`~repro.resilience.policies.RetryPolicy`), a plan-manager circuit
-breaker serving the last-good plan through replan storms, a dead-letter
+breaker serving the last-good plan through plan-miss storms, a dead-letter
 queue for malformed events (``quarantine=True``), and a seeded chaos
 harness (:class:`~repro.resilience.chaos.ChaosSchedule`).
 """
@@ -45,7 +45,7 @@ from .ingest import (
 from .pipeline import QueueBatchSource, WindowPipeline
 from .plan_manager import PlanDecision, PlanManager, WindowPlan
 from .service import ServiceConfig, ServingReport, StreamingService, serve_offline
-from .signature import DriftDetector, WindowProfile, WorkloadSignature
+from .signature import WindowProfile, WorkloadSignature
 from .stats import ServiceStats, WindowFailure, WindowRecord
 from .streams import stream_from_dataset, synthetic_event_stream
 
@@ -64,7 +64,6 @@ __all__ = [
     "ServingReport",
     "StreamingService",
     "serve_offline",
-    "DriftDetector",
     "WindowProfile",
     "WorkloadSignature",
     "ServiceStats",

@@ -23,7 +23,7 @@ Streaming realities handled here:
   sorted at close (the same ``(time, src, dst, kind)`` order
   :class:`~repro.graphs.continuous.ContinuousDynamicGraph` applies).
 * **Late events** — older than the already-closed window — are dropped
-  and counted (or rejected, with ``strict_time_order=True``).
+  and counted.
 * **Empty windows** (gaps in the stream) still emit a snapshot equal to
   their predecessor, keeping the window clock aligned with the offline
   discretization.
@@ -87,8 +87,8 @@ class RejectedEvent:
 def event_fault(event: EdgeEvent, num_vertices: int) -> Optional[str]:
     """Why ``event`` is malformed, or ``None`` if it is well-formed.
 
-    The single validation rule shared by the strict (raise) and
-    quarantine (dead-letter) paths, so both reject exactly the same
+    The single validation rule shared by the raising and quarantine
+    (dead-letter) paths, so both reject exactly the same
     events for exactly the same reasons.  :func:`classify_events` is its
     columnar form.
     """
@@ -258,7 +258,6 @@ class WindowedIngestor:
         feature_dim: int = 1,
         initial: Optional[GraphSnapshot] = None,
         origin: Optional[float] = None,
-        strict_time_order: bool = False,
         quarantine: bool = False,
         start_window: int = 0,
     ):
@@ -268,7 +267,6 @@ class WindowedIngestor:
             raise ValueError(f"start_window must be >= 0, got {start_window}")
         self.window = window
         self.origin = origin
-        self.strict_time_order = strict_time_order
         self.quarantine = quarantine
         #: durable-resume watermark: windows below it were already served
         #: (and are baked into ``initial``), so their replayed events are
@@ -293,7 +291,6 @@ class WindowedIngestor:
         window: float,
         feature_dim: Optional[int] = None,
         origin: Optional[float] = None,
-        strict_time_order: bool = False,
         quarantine: bool = False,
         initial: Optional[GraphSnapshot] = None,
         start_window: int = 0,
@@ -311,7 +308,6 @@ class WindowedIngestor:
             feature_dim=feature_dim or stream.initial.feature_dim,
             initial=initial if initial is not None else stream.initial,
             origin=origin,
-            strict_time_order=strict_time_order,
             quarantine=quarantine,
             start_window=start_window,
         )
@@ -359,30 +355,21 @@ class WindowedIngestor:
 
         Returns the closed window, or ``None`` for a window below the
         resume watermark.  The first malformed event (unless quarantined)
-        or, in strict mode, the first late event raises here.
+        raises here.
         """
         columns = _columns(events)
         space = self.builder.num_vertices
         faulty, rows_window = classify_events(
             columns, space, self.origin, self.window
         )
+        if faulty.any() and not self.quarantine:
+            event = events[int(np.argmax(faulty))]
+            raise ValueError(
+                f"malformed event {event}: {event_fault(event, space)}"
+            )
         # The bound kept every valid row at or below window ``index``;
         # the rows below it belong to windows that already closed.
         late = ~faulty & (rows_window < index)
-        offending = np.flatnonzero(
-            (faulty & (not self.quarantine)) | (late & self.strict_time_order)
-        )
-        if len(offending):
-            row = offending[0]
-            event = events[row]
-            if faulty[row]:
-                raise ValueError(
-                    f"malformed event {event}: {event_fault(event, space)}"
-                )
-            raise ValueError(
-                f"late event {event}: window {rows_window[row]} already closed "
-                f"(serving window {index})"
-            )
         self.total_events += len(events)
         for row in np.flatnonzero(faulty):
             event = events[row]

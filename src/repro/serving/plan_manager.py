@@ -1,16 +1,14 @@
-"""Execution-plan cache with drift-triggered re-planning.
+"""Execution-plan cache keyed by workload signature.
 
 Planning a window runs the full scheduler front-end (tiling search,
 ``Ps``/``Pv`` optimization, Algorithm 2 balance) — far more work than
 simulating the window's incremental costs.  The serving layer therefore
 caches the scheduler's decision in an LRU keyed by
 :class:`~repro.serving.signature.WorkloadSignature` and re-invokes
-:class:`~repro.core.scheduler.DiTileScheduler` only when
-
-* a window's signature misses the cache, or
-* the :class:`~repro.serving.signature.DriftDetector` observes that the
-  workload has drifted beyond threshold from the profile the cached plan
-  was computed for.
+:class:`~repro.core.scheduler.DiTileScheduler` only when a window's
+signature misses the cache.  The signature is the one reuse rule: a
+window whose shape moves by more than a bucket gets a new key and so a
+fresh plan.
 
 A cached decision is a :class:`WindowPlan`: the tile-array placement
 (the ``Ps``/``Pv`` grid and Algorithm 2's balance) and the tiling
@@ -38,9 +36,9 @@ from ..ditile import DiTileAccelerator
 from ..graphs.dynamic import DynamicGraph
 from ..obs import span as obs_span
 from ..resilience.policies import BreakerConfig, CircuitBreaker
-from .signature import DriftDetector, WindowProfile, WorkloadSignature
+from .signature import WindowProfile, WorkloadSignature
 
-__all__ = ["PlanDecision", "PlanEntry", "PlanManager", "WindowPlan"]
+__all__ = ["PlanDecision", "PlanManager", "WindowPlan"]
 
 
 class PlanDecision(enum.Enum):
@@ -48,7 +46,6 @@ class PlanDecision(enum.Enum):
 
     HIT = "hit"  # cached plan reused as-is
     MISS = "miss"  # no cached plan for this signature; scheduler invoked
-    REPLAN = "replan"  # cached plan found but drift fired; scheduler invoked
     BREAKER = "breaker"  # breaker open: last-good plan served, scheduler skipped
 
 
@@ -69,14 +66,6 @@ class WindowPlan:
         return cls(model.placement_from_plan(plan), plan.tiling.alpha)
 
 
-@dataclass
-class PlanEntry:
-    """One cached plan plus the workload profile it was computed for."""
-
-    plan: WindowPlan
-    reference: WindowProfile
-
-
 class PlanManager:
     """LRU-bounded plan cache in front of the DiTile scheduler."""
 
@@ -84,18 +73,15 @@ class PlanManager:
         self,
         model: DiTileAccelerator,
         capacity: int = 32,
-        drift_threshold: float = 0.25,
         breaker: Optional[BreakerConfig] = None,
     ):
         self.model = model
-        self.detector = DriftDetector(drift_threshold)
-        self._cache: LRUCache[WorkloadSignature, PlanEntry] = LRUCache(capacity)
+        self._cache: LRUCache[WorkloadSignature, WindowPlan] = LRUCache(capacity)
         self.hits = 0
         self.misses = 0
-        self.replans = 0
-        # Circuit breaker (optional): `threshold` consecutive scheduler
-        # invocations — a replan storm — trip it open, and while open the
-        # last-good plan is served without touching the scheduler.
+        # Circuit breaker (optional): `threshold` consecutive misses — a
+        # miss storm — trip it open, and while open the last-good plan is
+        # served without touching the scheduler.
         self._breaker = CircuitBreaker(breaker) if breaker is not None else None
         self._last_good: Optional[WindowPlan] = None
         self.breaker_hits = 0
@@ -131,36 +117,30 @@ class PlanManager:
     ) -> Tuple[WindowPlan, PlanDecision]:
         current = profile or WindowProfile.from_snapshot(transition[-1])
         signature = WorkloadSignature.from_profile(current, spec)
-        entry = self._cache.get(signature)
-        storming = entry is None or self.detector.fires(entry.reference, current)
+        plan = self._cache.get(signature)
         if (
-            storming
+            plan is None
             and self._breaker is not None
             and not self._breaker.allow()
             and self._last_good is not None
         ):
-            # Replan storm with the breaker open: degrade to the last
+            # Miss storm with the breaker open: degrade to the last
             # plan the scheduler actually produced instead of invoking
             # it again.  The cache is left untouched, so once the breaker
             # half-opens the storm is re-evaluated on real state.
             self._breaker.record_short_circuit()
             self.breaker_hits += 1
             return self._last_good, PlanDecision.BREAKER
-        if entry is None:
+        if plan is None:
             plan = self._invoke_scheduler(transition, spec)
-            self._cache.put(signature, PlanEntry(plan, current))
+            self._cache.put(signature, plan)
             self.misses += 1
             return plan, PlanDecision.MISS
-        if storming:
-            plan = self._invoke_scheduler(transition, spec)
-            self._cache.put(signature, PlanEntry(plan, current))
-            self.replans += 1
-            return plan, PlanDecision.REPLAN
         if self._breaker is not None:
             self._breaker.record_success()
-        self._last_good = entry.plan
+        self._last_good = plan
         self.hits += 1
-        return entry.plan, PlanDecision.HIT
+        return plan, PlanDecision.HIT
 
     def _invoke_scheduler(
         self, transition: DynamicGraph, spec: DGNNSpec
@@ -181,30 +161,23 @@ class PlanManager:
         """Snapshot resolution state for a durability checkpoint.
 
         Captures the LRU entries (stalest first — re-``put`` in that
-        order reproduces the recency order exactly), the decision
-        counters, the last-good plan, and the breaker scalars.  Every
-        plan is a :class:`WindowPlan` — a placement and a tiling factor,
-        with no graph or array — so the snapshot stays a few hundred
-        bytes per cached entry.  Entries
-        are immutable once cached (:meth:`_resolve` always ``put``\\ s a
-        fresh :class:`PlanEntry`), so the shallow copy is stable no
-        matter how far resolution runs ahead of the checkpoint.  A
-        resumed manager restored from this snapshot makes decisions
-        byte-identical to the uninterrupted run — the plan half of the
-        recovery parity guarantee.
+        order reproduces the recency order exactly), the decision and
+        eviction counters, the last-good plan, and the breaker scalars.
+        Every plan is a frozen :class:`WindowPlan` — a placement and a
+        tiling factor, with no graph or array — so the snapshot stays a
+        few hundred bytes per cached entry, and the shallow copy is
+        stable no matter how far resolution runs ahead of the
+        checkpoint.  A resumed manager restored from this snapshot makes
+        decisions byte-identical to the uninterrupted run — the plan
+        half of the recovery parity guarantee.
         """
         state: Dict[str, Any] = {
             "entries": list(self._cache.items()),
             "hits": self.hits,
             "misses": self.misses,
-            "replans": self.replans,
             "breaker_hits": self.breaker_hits,
+            "evictions": self._cache.stats.evictions,
             "last_good": self._last_good,
-            "cache_stats": {
-                "hits": self._cache.stats.hits,
-                "misses": self._cache.stats.misses,
-                "evictions": self._cache.stats.evictions,
-            },
             "breaker": None,
         }
         if self._breaker is not None:
@@ -218,17 +191,13 @@ class PlanManager:
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Apply an :meth:`export_state` snapshot to this (fresh) manager."""
         self._cache.clear()
-        for signature, entry in state["entries"]:
-            self._cache.put(signature, entry)
+        for signature, plan in state["entries"]:
+            self._cache.put(signature, plan)
         self.hits = state["hits"]
         self.misses = state["misses"]
-        self.replans = state["replans"]
         self.breaker_hits = state["breaker_hits"]
+        self._cache.stats.evictions = state["evictions"]
         self._last_good = state["last_good"]
-        cache_stats = state["cache_stats"]
-        self._cache.stats.hits = cache_stats["hits"]
-        self._cache.stats.misses = cache_stats["misses"]
-        self._cache.stats.evictions = cache_stats["evictions"]
         if state["breaker"] is not None and self._breaker is not None:
             vars(self._breaker).update(state["breaker"])
 
@@ -253,6 +222,6 @@ class PlanManager:
     def __repr__(self) -> str:
         return (
             f"PlanManager(size={self.size}, hits={self.hits}, "
-            f"misses={self.misses}, replans={self.replans}, "
-            f"evictions={self.evictions}, breaker_hits={self.breaker_hits})"
+            f"misses={self.misses}, evictions={self.evictions}, "
+            f"breaker_hits={self.breaker_hits})"
         )

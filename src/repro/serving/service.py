@@ -6,7 +6,7 @@ Pipeline shape (PiPAD-style preparation/execution overlap):
 
     events ──> [ingest thread] ──(bounded queue)──> [dispatch] ──> [worker pool]
                 incremental          backpressure      plan cache      batched
-                window builds                          + drift         simulation
+                window builds                          (LRU)           simulation
 
 * The **ingest thread** runs :class:`~repro.serving.ingest.WindowedIngestor`
   and pushes closed windows into a bounded queue — when execution falls
@@ -85,17 +85,13 @@ class ServiceConfig:
     queue_capacity: int = 8
     #: LRU bound of the execution-plan cache
     plan_cache_capacity: int = 32
-    #: relative workload change that forces a re-plan on a cache hit
-    drift_threshold: float = 0.25
-    #: reject late events instead of dropping/counting them
-    strict_time_order: bool = False
     # Resilience hooks — all off by default; with every one at its
     # default the service is bit-identical to the pre-resilience code
     # path (the bench counter gate relies on it).
     #: retry window executions with exponential backoff (``None`` = a
     #: failed execution aborts the stream, the pre-resilience behaviour)
     retry: Optional[RetryPolicy] = None
-    #: trip a circuit breaker on replan storms, serving the last-good plan
+    #: trip a circuit breaker on plan-miss storms, serving the last-good plan
     breaker: Optional[BreakerConfig] = None
     #: divert malformed events to a dead-letter queue instead of raising
     quarantine: bool = False
@@ -120,8 +116,6 @@ class ServiceConfig:
             raise ValueError("pipeline_depth must be >= 1")
         if self.plan_cache_capacity < 1:
             raise ValueError("plan_cache_capacity must be >= 1")
-        if self.drift_threshold <= 0:
-            raise ValueError("drift_threshold must be positive")
 
 
 @dataclass
@@ -194,7 +188,6 @@ class StreamingService:
         return PlanManager(
             self.model,
             capacity=self.config.plan_cache_capacity,
-            drift_threshold=self.config.drift_threshold,
             breaker=self.config.breaker,
         )
 
@@ -236,6 +229,7 @@ class StreamingService:
                 cfg.durability,
                 window=cfg.window,
                 num_vertices=stream.num_vertices,
+                spec=spec,
                 origin=cfg.origin,
             ).start()
         try:
@@ -260,7 +254,6 @@ class StreamingService:
             window=cfg.window,
             feature_dim=spec.feature_dim,
             origin=cfg.origin,
-            strict_time_order=cfg.strict_time_order,
             quarantine=cfg.quarantine,
             initial=checkpoint.snapshot if checkpoint is not None else None,
             start_window=dur.watermark if dur is not None else 0,
@@ -346,8 +339,7 @@ class StreamingService:
                         "windows_failed": stats.windows_failed,
                         "failures": list(stats.failures),
                     },
-                    wal_records=len(dur.records) + dur.wal.records_appended,
-                    meta={"window": cfg.window, "origin": cfg.origin},
+                    meta=dur.meta,
                 )
 
             committer = dur.committer(_capture)

@@ -1,4 +1,4 @@
-"""Workload signatures and drift detection for the serving plan cache.
+"""Workload signatures: the serving plan cache's one reuse rule.
 
 The scheduler's decisions (tiling ``alpha``, the ``Ps x Pv`` grid, the
 balance mapping) depend on coarse workload shape — vertex/edge counts and
@@ -8,10 +8,12 @@ agree to within a quantization bucket can therefore share one cached
 
 * :class:`WindowProfile` — the measured shape of one window's snapshot;
 * :class:`WorkloadSignature` — its quantized, hashable cache key
-  (log-bucketed counts + degree-skew bucket + the DGNN spec);
-* :class:`DriftDetector` — fires when a window's profile has moved too far
-  from the profile its cached plan was computed for (DGC-style workload
-  drift across time chunks), forcing a re-plan even on a signature hit.
+  (log-bucketed counts + degree-skew bucket + the DGNN spec).
+
+Two profiles with one signature differ by at most a factor of
+``2 ** (1 / WorkloadSignature.RESOLUTION)`` (about 19%) on every axis, so
+that factor is the cache's whole reuse tolerance: a window whose shape
+moves further lands in another bucket and gets a fresh plan.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from ..core.plan import DGNNSpec
 from ..graphs.snapshot import GraphSnapshot
 
-__all__ = ["WindowProfile", "WorkloadSignature", "DriftDetector"]
+__all__ = ["WindowProfile", "WorkloadSignature"]
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class WorkloadSignature:
     edge_bucket: int
     skew_bucket: int
 
-    #: log2 sub-steps per octave — 4 means counts within ~19% of each
-    #: other usually share a bucket
+    #: log2 sub-steps per octave — values sharing a bucket are within a
+    #: factor of ``2 ** (1 / RESOLUTION)`` (~19% at 4) of each other
     RESOLUTION = 4
 
     @classmethod
@@ -82,40 +84,3 @@ class WorkloadSignature:
             edge_bucket=_log_bucket(profile.num_edges, cls.RESOLUTION),
             skew_bucket=_log_bucket(profile.degree_skew, cls.RESOLUTION),
         )
-
-
-@dataclass(frozen=True)
-class DriftDetector:
-    """Decides when a cached plan's workload assumptions have expired.
-
-    ``threshold`` bounds the tolerated *relative* change in edge count and
-    degree skew between the profile a plan was computed for and the window
-    now being served.  Quantized signatures alone would let a workload
-    creep arbitrarily far through a sequence of same-bucket steps while
-    its plan entry keeps being refreshed; the detector compares against
-    the plan's own reference profile, so accumulated drift fires it.
-    """
-
-    threshold: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError(f"drift threshold must be positive, got {self.threshold}")
-
-    @staticmethod
-    def _relative_change(reference: float, current: float) -> float:
-        if reference == current:
-            return 0.0
-        return abs(current - reference) / max(abs(reference), 1.0)
-
-    def drift(self, reference: WindowProfile, current: WindowProfile) -> float:
-        """The drift measure: worst relative change over the tracked axes."""
-        return max(
-            self._relative_change(reference.num_edges, current.num_edges),
-            self._relative_change(reference.num_vertices, current.num_vertices),
-            self._relative_change(reference.degree_skew, current.degree_skew),
-        )
-
-    def fires(self, reference: WindowProfile, current: WindowProfile) -> bool:
-        """Whether ``current`` has drifted beyond the threshold."""
-        return self.drift(reference, current) > self.threshold

@@ -83,7 +83,7 @@ class WindowRecord:
     index: int
     num_events: int
     latency_s: float  # window close (ingest) -> result available
-    plan_decision: str  # "hit" | "miss" | "replan" | "breaker"
+    plan_decision: str  # "hit" | "miss" | "breaker"
 
 
 @dataclass
@@ -105,12 +105,11 @@ class ServiceStats:
     elapsed_s: float = 0.0
     plan_hits: int = 0
     plan_misses: int = 0
-    plan_replans: int = 0
     plan_evictions: int = 0
     plan_cache_size: int = 0
     batches: int = 0
     #: dispatch-thread seconds spent resolving plans (cache lookups + any
-    #: scheduler invocations) — high with low hit rate = a replan storm
+    #: scheduler invocations) — high with low hit rate = a miss storm
     plan_resolve_s: float = 0.0
     #: worker seconds spent simulating windows — high with a healthy hit
     #: rate = execution itself is the bottleneck
@@ -202,12 +201,7 @@ class ServiceStats:
     @property
     def plan_lookups(self) -> int:
         """Plan-manager resolutions (one per window)."""
-        return (
-            self.plan_hits
-            + self.plan_misses
-            + self.plan_replans
-            + self.plan_breaker_hits
-        )
+        return self.plan_hits + self.plan_misses + self.plan_breaker_hits
 
     @property
     def plan_hit_rate(self) -> float:
@@ -266,7 +260,6 @@ class ServiceStats:
             f"max={1e3 * self.max_latency_s:.2f} ms",
             f"plan cache         hit rate {self.plan_hit_rate:.1%} "
             f"({self.plan_hits} hits, {self.plan_misses} misses, "
-            f"{self.plan_replans} drift re-plans, "
             f"{self.plan_evictions} evictions, {self.plan_cache_size} resident)",
             f"batching           {self.batches} batches, "
             f"{self.mean_batch_windows:.1f} windows/batch",
@@ -322,7 +315,6 @@ class ServiceStats:
         """Copy the plan manager's counters into this report."""
         self.plan_hits = manager.hits
         self.plan_misses = manager.misses
-        self.plan_replans = manager.replans
         self.plan_evictions = manager.evictions
         self.plan_cache_size = manager.size
         self.plan_breaker_hits = manager.breaker_hits

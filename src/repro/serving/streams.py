@@ -37,7 +37,7 @@ def synthetic_event_stream(
     profile (hub-heavy, as real interaction graphs are).  About
     ``remove_fraction`` of events delete a currently-live edge.  With
     ``burst_period > 0`` the event *times* cluster into periodic bursts,
-    producing windows of very different sizes — the drift-detector /
+    producing windows of very different sizes — the plan-cache /
     backpressure stress case; otherwise times are uniform over
     ``[0, num_events)``.
     """

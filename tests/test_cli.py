@@ -144,11 +144,7 @@ class TestCommands:
         assert written == (report.results_json() + "\n").encode()
 
     @pytest.mark.parametrize(
-        "flag, field",
-        [
-            ("--plan-cache-capacity", "plan_cache_capacity"),
-            ("--drift-threshold", "drift_threshold"),
-        ],
+        "flag, field", [("--plan-cache-capacity", "plan_cache_capacity")]
     )
     def test_bad_plan_cache_setting_leaves_the_wal_directory_unused(
         self, tmp_path, capsys, flag, field

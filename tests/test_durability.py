@@ -53,11 +53,15 @@ SPEC = DGNNSpec(gcn_dims=(8, 8), rnn_hidden_dim=8)
 WINDOW = 40.0  # 15 windows over the 600-event synthetic stream
 
 
+def _stream(num_vertices=64):
+    return synthetic_event_stream(
+        num_vertices=num_vertices, num_events=600, seed=7, remove_fraction=0.25
+    )
+
+
 @pytest.fixture(scope="module")
 def stream():
-    return synthetic_event_stream(
-        num_vertices=64, num_events=600, seed=7, remove_fraction=0.25
-    )
+    return _stream()
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +82,8 @@ def _events(n, start=0.0, step=1.0):
     ]
 
 
-def _serve(stream, config):
-    return StreamingService(config=config).serve(stream, SPEC)
+def _serve(stream, config, spec=SPEC):
+    return StreamingService(config=config).serve(stream, spec)
 
 
 def _record_at_a_time_segments(records, segment_bytes):
@@ -531,11 +535,18 @@ class TestDurableServing:
         assert resumed.stats.recovered_windows == len(resumed.results)
 
     @pytest.mark.parametrize(
-        "change",
-        [{"window": WINDOW / 2}, {"origin": -17.0}],
-        ids=["window", "origin"],
+        "change, vertices, spec",
+        [
+            ({"window": WINDOW / 2}, 64, SPEC),
+            ({"origin": -17.0}, 64, SPEC),
+            ({}, 128, SPEC),
+            ({}, 64, DGNNSpec(gcn_dims=(16, 16), rnn_hidden_dim=16)),
+        ],
+        ids=["window", "origin", "vertices", "spec"],
     )
-    def test_mismatched_window_is_refused(self, stream, config, tmp_path, change):
+    def test_mismatched_window_is_refused(
+        self, stream, config, tmp_path, change, vertices, spec
+    ):
         durable = replace(
             config,
             durability=DurabilityConfig(directory=tmp_path, fsync=False),
@@ -549,7 +560,24 @@ class TestDurableServing:
             ),
         )
         with pytest.raises(ValueError, match="refusing to mix"):
-            _serve(stream, other)
+            _serve(_stream(vertices), other, spec)
+
+    def test_refused_resume_closes_the_log_and_releases_the_lock(
+        self, stream, config, tmp_path
+    ):
+        _serve(
+            stream,
+            replace(
+                config,
+                durability=DurabilityConfig(directory=tmp_path, fsync=False),
+            ),
+        )
+        resume = DurabilityConfig(directory=tmp_path, fsync=False, resume=True)
+        run = DurableRun(resume, window=WINDOW / 2, num_vertices=64, spec=SPEC)
+        with pytest.raises(ValueError, match="refusing to mix"):
+            run.start()
+        assert run.wal._closed
+        DurableRun(resume, window=WINDOW, num_vertices=64, spec=SPEC).start().close()
 
     def test_older_checkpoint_format_is_replayed(
         self, stream, config, reference_json, tmp_path
@@ -567,7 +595,7 @@ class TestDurableServing:
         paths = list(crash.durability.checkpoint_dir.glob("ckpt-*.bin"))
         assert paths
         for path in paths:
-            path.write_bytes(b"RDCKPT2\n" + path.read_bytes()[8:])
+            path.write_bytes(b"RDCKPT3\n" + path.read_bytes()[8:])
         resumed = _serve(
             stream,
             replace(
@@ -630,6 +658,7 @@ class TestDurableServing:
             DurabilityConfig(directory=tmp_path, fsync=False, resume=True),
             window=1.0,
             num_vertices=4,
+            spec=SPEC,
         ).start()
         try:
             # Origin 0.5: the valid events fall in windows 0 and 1.

@@ -13,7 +13,6 @@ that event's window closes, before the window is yielded).
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,10 +38,9 @@ N = 5  # vertex space of every generated stream
 class _Reference:
     """The per-event windowing loop: validate, window, buffer, close."""
 
-    def __init__(self, window, origin, strict, quarantine, start_window):
+    def __init__(self, window, origin, quarantine, start_window):
         self.window = window
         self.origin = origin
-        self.strict = strict
         self.quarantine = quarantine
         self.start_window = start_window
         self.late_events = 0
@@ -65,11 +63,6 @@ class _Reference:
                 self.origin = event.time
             index = window_index(event.time, self.origin, self.window)
             if index < current:
-                if self.strict:
-                    raise ValueError(
-                        f"late event {event}: window {index} already closed "
-                        f"(serving window {current})"
-                    )
                 self.late_events += 1
                 continue
             if index > current:
@@ -167,7 +160,6 @@ def streams(draw):
         window=window,
         origin=origin,
         initial=GraphSnapshot.from_edges(N, initial),
-        strict=draw(st.booleans()),
         quarantine=draw(st.booleans()),
         start_window=draw(st.sampled_from([0, 0, 1, 3])),
     )
@@ -183,12 +175,11 @@ class TestColumnarIngest:
             window,
             initial=case["initial"],
             origin=origin,
-            strict_time_order=case["strict"],
             quarantine=case["quarantine"],
             start_window=case["start_window"],
         )
         reference = _Reference(
-            window, origin, case["strict"], case["quarantine"], case["start_window"]
+            window, origin, case["quarantine"], case["start_window"]
         )
         served, error = _drain(ingestor.windows(iter(events)))
         expected, expected_error = _drain(reference.windows(events))
@@ -299,12 +290,3 @@ class TestClassifyEvents:
         assert ingestor.rejected == [
             RejectedEvent(events[1], event_fault(events[1], N), 1)
         ]
-
-    def test_strict_late_event_raises_at_its_window_close(self):
-        events = [EdgeEvent(0.0, 0, 1), EdgeEvent(5.0, 1, 2), EdgeEvent(0.5, 2, 3)]
-        ingestor = WindowedIngestor(N, 1.0, strict_time_order=True)
-        windows = ingestor.windows(events)
-        assert [next(windows).index for _ in range(4)] == [0, 1, 2, 3]
-        late = r"late event .*: window 0 already closed \(serving window 4\)"
-        with pytest.raises(ValueError, match=late):
-            next(windows)

@@ -465,7 +465,6 @@ class TestSLO:
         assert {t["metric"] for t in payload["targets"]} == {
             "p95_latency_s",
             "restarts",
-            "overlap_ratio",
         }
 
 

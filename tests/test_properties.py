@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.algorithms import (
@@ -28,7 +29,13 @@ from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.generators import evolve_snapshot, powerlaw_snapshot
 from repro.graphs.partition import round_robin_partition
 from repro.graphs.snapshot import GraphSnapshot
-from repro.serving import ServiceConfig, StreamingService, serve_offline
+from repro.serving import (
+    ServiceConfig,
+    StreamingService,
+    WindowProfile,
+    WorkloadSignature,
+    serve_offline,
+)
 from repro.serving.ingest import WindowedIngestor
 
 
@@ -366,6 +373,59 @@ class TestServeOracleProperties:
         for config in (inline, ServiceConfig(window=window, origin=0.0)):
             report = StreamingService(DiTileAccelerator(), config).serve(stream, spec)
             assert report.results == offline
+
+
+#: the widest ratio two values sharing one signature bucket can have
+_BUCKET_RATIO = 2 ** (1 / WorkloadSignature.RESOLUTION)
+
+
+@st.composite
+def profile_pairs(draw):
+    """A window profile and one whose every axis is its own value or a
+    value up to ~1.5 buckets away, so the pair often shares a signature
+    and often straddles a bucket edge."""
+    spread = _BUCKET_RATIO ** 1.5
+    vertices = draw(st.integers(0, 2_000_000))
+    edges = draw(st.integers(0, 2_000_000))
+    skew = draw(st.floats(1.0, 1e4))
+
+    def near_count(value):
+        low, high = math.floor(value / spread), math.ceil(value * spread)
+        return draw(st.one_of(st.just(value), st.integers(low, high)))
+
+    def near_skew(value):
+        low, high = max(1.0, value / spread), value * spread
+        return draw(st.one_of(st.just(value), st.floats(low, high)))
+
+    return (
+        WindowProfile(vertices, edges, skew),
+        WindowProfile(near_count(vertices), near_count(edges), near_skew(skew)),
+    )
+
+
+class TestSignatureProperties:
+    """The signature is the plan cache's only reuse rule, so its bucket
+    width is the whole tolerance of a reused plan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile_pairs())
+    @example((WindowProfile(0, 0, 1.0), WindowProfile(0, 0, 1.0)))
+    @example((WindowProfile(64, 1000, 1.0), WindowProfile(64, 1000, 1.0)))
+    def test_one_signature_bounds_every_axis(self, pair):
+        a, b = pair
+        spec = DGNNSpec(gcn_dims=(8, 8), rnn_hidden_dim=8)
+        assume(
+            WorkloadSignature.from_profile(a, spec)
+            == WorkloadSignature.from_profile(b, spec)
+        )
+        for x, y in (
+            (a.num_vertices, b.num_vertices),
+            (a.num_edges, b.num_edges),
+            (a.degree_skew, b.degree_skew),
+        ):
+            low, high = min(x, y), max(x, y)
+            # Rounding in log2 may put the last ulp past the exact bound.
+            assert low == high or high <= low * _BUCKET_RATIO * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

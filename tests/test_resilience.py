@@ -558,12 +558,12 @@ class TestServingResilience:
             StreamingService(config=config).serve(stream, SPEC)
 
     def test_breaker_short_circuits_a_replan_storm(self):
+        # A one-entry cache misses on every signature change: a miss storm.
         stream = _stream()
         config = ServiceConfig(
             window=_window(stream, parts=10),
             breaker=BreakerConfig(threshold=1, cooldown=2),
             plan_cache_capacity=1,
-            drift_threshold=1e-9,
         )
         report = StreamingService(config=config).serve(stream, SPEC)
         stats = report.stats
